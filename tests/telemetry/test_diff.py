@@ -351,6 +351,38 @@ class TestBaselineByteIdentity:
             tmp_path, "span_ledger_leafspine.json", run.ledger
         )
 
+    def test_serve_leafspine_ledger_matches_baseline(self, tmp_path):
+        from repro.serve import run_serve
+
+        run = run_serve(
+            "leaf-spine-2x2",
+            "fabric-allreduce",
+            duration_ns=10_000.0,
+            window_ns=500.0,
+            slos=("drop_rate<=0.05",),
+        )
+        self._assert_byte_identical(
+            tmp_path, "ledger_serve_leafspine.json", run.ledger()
+        )
+
+    def test_serve_leafspine_rmt_sampled_ledger_matches_baseline(
+        self, tmp_path
+    ):
+        from repro.serve import run_serve
+
+        run = run_serve(
+            "leaf-spine-2x2",
+            "fabric-allreduce",
+            target="rmt",
+            sample=8,
+            duration_ns=10_000.0,
+            window_ns=500.0,
+            slos=("drop_rate<=0.05",),
+        )
+        self._assert_byte_identical(
+            tmp_path, "ledger_serve_leafspine_rmt_sampled.json", run.ledger()
+        )
+
 
 class TestStatefulLedgerFamily:
     """``repro.stateful_ledger/1`` joins the diffable ledger family."""
