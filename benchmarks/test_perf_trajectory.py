@@ -185,7 +185,7 @@ def _measure_fabric(target: str) -> dict:
         )
         best_s = min(best_s, time.perf_counter() - start)
     packets = sum(
-        len(s.result.delivered) + s.result.consumed + len(s.result.dropped)
+        s.result.delivered_count + s.result.consumed + s.result.dropped_count
         for s in run.sections
     )
     events = run.events + run.events_coalesced

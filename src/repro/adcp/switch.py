@@ -289,11 +289,15 @@ class ADCPSwitch(Component):
 
     def _make_burst_event(self, burst: list[Packet], time: float):
         def event() -> None:
-            self._sim.events_coalesced += len(burst) - 1
-            for packet in burst:
-                self._ingress_service(packet, time)
+            self.arrive(burst, time)
 
         return event
+
+    def arrive(self, packets: list[Packet], time: float) -> None:
+        """Admit same-timestamp arrivals now (see :meth:`RMTSwitch.arrive`)."""
+        self._sim.events_coalesced += len(packets) - 1
+        for packet in packets:
+            self._ingress_service(packet, time)
 
     def _sampled_stream(self, timed_packets):
         """Head-based span sampling at injection (docs/SPANS.md); keeps
@@ -322,11 +326,6 @@ class ADCPSwitch(Component):
         """Schedule one packet arrival without draining the event queue
         (fabric entry point; see :meth:`RMTSwitch.inject`)."""
         self._schedule_ingress(packet, time)
-
-    def inject_burst(self, packets: list[Packet], time: float) -> None:
-        """Schedule several same-timestamp arrivals as one kernel event
-        (see :meth:`RMTSwitch.inject_burst`)."""
-        self._sim.at(time, self._make_burst_event(list(packets), time))
 
     def finalize(self, now_s: float | None = None) -> SwitchRunResult:
         """Seal the run result once the (possibly shared) simulator drained."""
@@ -437,7 +436,7 @@ class ADCPSwitch(Component):
     def _to_tm1(self, packet: Packet, ready: float) -> None:
         admitted = self.tm1.admit(packet, ready)
         if admitted is None:
-            self._result.dropped.append(packet)
+            self._result.drop(packet, self.port_sinks)
             self._emit_drop(packet, ready)
             return
         partition, deliver = admitted
@@ -463,7 +462,7 @@ class ADCPSwitch(Component):
         """
         admitted, rejected = self.tm1.admit_burst(packets, ready)
         for packet in rejected:
-            self._result.dropped.append(packet)
+            self._result.drop(packet, self.port_sinks)
             self._emit_drop(packet, ready)
         if not admitted:
             return
@@ -566,13 +565,13 @@ class ADCPSwitch(Component):
             return
         if packet.meta.egress_port is None:
             packet.meta.drop_reason = "no_route"
-            self._result.dropped.append(packet)
+            self._result.drop(packet, self.port_sinks)
             self.counter("no_route_drops").add()
             self._emit_drop(packet, ready)
             return
         admitted = self.tm2.admit(packet, ready)
         if admitted is None:
-            self._result.dropped.append(packet)
+            self._result.drop(packet, self.port_sinks)
             self._emit_drop(packet, ready)
             return
         lane, deliver = admitted
@@ -655,7 +654,11 @@ class ADCPSwitch(Component):
                     packet.meta.span, packet.packet_id, self.name,
                     "egress_serial", record.exit_time, departure,
                 )
-            self._result.delivered.append(packet)
+            sink = self.port_sinks.get(port)
+            if sink is None:
+                self._result.delivered.append(packet)
+            else:
+                self._result.handed_off += 1
             self.counter("delivered").add()
             if self.trace is not None:
                 self._emit(
@@ -667,7 +670,6 @@ class ADCPSwitch(Component):
                     lane=lane,
                     departure_s=departure,
                 )
-            sink = self.port_sinks.get(port)
             if sink is not None:
                 sink(packet, departure)
 
@@ -675,5 +677,5 @@ class ADCPSwitch(Component):
         self, packet: Packet, decision: Decision, when: float = 0.0
     ) -> None:
         packet.meta.drop_reason = decision.drop_reason or "dropped"
-        self._result.dropped.append(packet)
+        self._result.drop(packet, self.port_sinks)
         self._emit_drop(packet, when)

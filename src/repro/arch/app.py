@@ -69,6 +69,11 @@ class PipelineContext(Protocol):
         """Get or lazily allocate a register array local to this pipeline."""
         ...
 
+    def release_register(self, name: str) -> None:
+        """Free a register array the app is done with (its accesses stay
+        counted)."""
+        ...
+
     def table(self, name: str) -> MatchTable:
         """Look up a table installed on this pipeline."""
         ...

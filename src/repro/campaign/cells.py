@@ -85,7 +85,7 @@ def _section(label: str, telemetry, result) -> dict:
     return {
         "label": label,
         "duration_s": result.duration_s,
-        "delivered": len(result.delivered),
+        "delivered": result.delivered_count,
         "consumed": result.consumed,
         "recirculated": result.recirculated_packets,
         "samples": len(monitor),

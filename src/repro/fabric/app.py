@@ -61,6 +61,8 @@ class FabricAggregateApp(SwitchApp):
         self._pending: dict[tuple[int, int], list[Element]] = {}
         self._completed: dict[tuple[int, int], int] = {}
         self._expected: dict[tuple[int, int], int] = {}
+        #: (coflow, partition) -> the context holding its registers.
+        self._state_ctx: dict[tuple[int, int], PipelineContext] = {}
         self.results_emitted = 0
 
     # --- placement ----------------------------------------------------------------
@@ -88,16 +90,30 @@ class FabricAggregateApp(SwitchApp):
         self._pending = {}
         self._completed = {}
         self._expected = {}
+        for spec in self.hosted.values():
+            self._bind(spec)
+
+    def host(self, spec: HostedCoflow) -> None:
+        """Start hosting one more coflow (serve mode places coflows as
+        their first packets leave the hosts); a no-op if already hosted."""
+        if spec.coflow_id in self.hosted:
+            return
+        self.hosted[spec.coflow_id] = spec
+        if self.placement_policy is not None:
+            self._bind(spec)
+
+    def _bind(self, spec: HostedCoflow) -> None:
+        """Per-partition accumulators and expectations for one coflow."""
+        coflow_id = spec.coflow_id
+        for partition in range(self.placement_policy.partitions):
+            self._pending[(coflow_id, partition)] = []
+            self._completed[(coflow_id, partition)] = 0
+            self._expected[(coflow_id, partition)] = 0
         step = self.elements_per_packet
-        for coflow_id, spec in self.hosted.items():
-            for partition in range(partitions):
-                self._pending[(coflow_id, partition)] = []
-                self._completed[(coflow_id, partition)] = 0
-                self._expected[(coflow_id, partition)] = 0
-            for chunk_start in range(0, spec.vector_elements, step):
-                chunk_size = min(step, spec.vector_elements - chunk_start)
-                partition = self.placement_policy.place(chunk_start)
-                self._expected[(coflow_id, partition)] += chunk_size
+        for chunk_start in range(0, spec.vector_elements, step):
+            chunk_size = min(step, spec.vector_elements - chunk_start)
+            partition = self.placement_policy.place(chunk_start)
+            self._expected[(coflow_id, partition)] += chunk_size
 
     def placement_key(self, packet: Packet) -> int:
         if packet.payload is not None and len(packet.payload) > 0:
@@ -114,6 +130,7 @@ class FabricAggregateApp(SwitchApp):
         coflow_id = packet.header("coflow")["coflow_id"]
         spec = self.hosted[coflow_id]
         partition = ctx.pipeline_index
+        self._state_ctx.setdefault((coflow_id, partition), ctx)
         acc = ctx.register(
             f"agg{coflow_id}_acc", spec.vector_elements, width_bits=64
         )
@@ -131,13 +148,41 @@ class FabricAggregateApp(SwitchApp):
                 )
                 self._completed[(coflow_id, partition)] += 1
         emissions = self._drain_emissions(coflow_id, partition)
-        if emissions and packet.meta.origin_time is not None:
-            # Results inherit the origin of the data packet whose
-            # contribution completed the chunk, so serve-mode latency
-            # spans host departure -> result delivery (docs/SERVING.md).
-            for emission in emissions:
-                emission.meta.origin_time = packet.meta.origin_time
+        if emissions:
+            if packet.meta.origin_time is not None:
+                # Results inherit the origin of the data packet whose
+                # contribution completed the chunk, so serve-mode latency
+                # spans host departure -> result delivery
+                # (docs/SERVING.md).
+                for emission in emissions:
+                    emission.meta.origin_time = packet.meta.origin_time
+            if self._aggregated(coflow_id):
+                self._retire(coflow_id)
         return Decision.consume(*emissions)
+
+    def _aggregated(self, coflow_id: int) -> bool:
+        """Every partition of the coflow summed and emitted its share."""
+        for partition in range(self.placement_policy.partitions):
+            slot = (coflow_id, partition)
+            if self._pending[slot]:
+                return False
+            if self._completed[slot] < self._expected[slot]:
+                return False
+        return True
+
+    def _retire(self, coflow_id: int) -> None:
+        """Drop a fully aggregated coflow's state: every worker's vector
+        arrived and every result left, so no packet of it remains."""
+        del self.hosted[coflow_id]
+        for partition in range(self.placement_policy.partitions):
+            slot = (coflow_id, partition)
+            del self._pending[slot]
+            del self._completed[slot]
+            del self._expected[slot]
+            ctx = self._state_ctx.pop(slot, None)
+            if ctx is not None:
+                ctx.release_register(f"agg{coflow_id}_acc")
+                ctx.release_register(f"agg{coflow_id}_cnt")
 
     def _drain_emissions(self, coflow_id: int, partition: int) -> list[Packet]:
         spec = self.hosted[coflow_id]

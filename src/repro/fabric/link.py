@@ -8,9 +8,11 @@ the switch counts the packet as delivered, then the link carries it to
 the peer — another switch's ingress (:meth:`inject` on the shared
 kernel) or a host NIC.
 
-A :class:`HostEndpoint` is the terminal NIC of one server: it records
-``(arrival_s, packet)`` pairs, from which the fabric runner derives
-coflow completion times and verifies aggregation results.
+A :class:`HostEndpoint` is the terminal NIC of one server.  Its
+:meth:`~HostEndpoint.deliver` records ``(arrival_s, packet)`` pairs,
+from which the batch fabric runner derives coflow completion times and
+verifies aggregation results; serve mode accounts each delivery as it
+happens and calls :meth:`~HostEndpoint.tally`, which only counts.
 """
 
 from __future__ import annotations
@@ -89,13 +91,19 @@ class HostEndpoint:
     def __init__(self, host_id: int) -> None:
         self.host_id = host_id
         self.received: list[tuple[float, Packet]] = []
+        self.delivered = 0
 
     @property
     def name(self) -> str:
         return f"h{self.host_id}"
 
     def deliver(self, packet: Packet, arrival_s: float) -> None:
+        self.delivered += 1
         self.received.append((arrival_s, packet))
+
+    def tally(self, packet: Packet, arrival_s: float) -> None:
+        """Count a delivery without keeping the packet."""
+        self.delivered += 1
 
     # --- queries ------------------------------------------------------------------
 

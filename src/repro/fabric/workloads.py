@@ -1,10 +1,16 @@
 """Fabric workloads: coflow traffic spread over a topology's hosts.
 
 Both workloads speak the :mod:`repro.coflow` vocabulary — each worker's
-stream is a :class:`~repro.coflow.model.Flow` materialized through
-:meth:`Flow.packets` — then re-addressed for the fabric: source/dest
-IPv4 addresses name hosts (:func:`~repro.fabric.topology.host_ip`), and
-per-switch resolvers (not a pre-assigned egress port) do the routing.
+stream is one :class:`~repro.coflow.model.Flow` chunked into packets the
+way :meth:`Flow.packets` chunks it — addressed for the fabric:
+source/dest IPv4 addresses name hosts
+(:func:`~repro.fabric.topology.host_ip`), and per-switch resolvers (not
+a pre-assigned egress port) do the routing.
+
+A round is first *planned* (:func:`plan_workload`): every random draw is
+made and every packet gets its id offset, wire size and place in its
+host's stream, but no packet is built.  :func:`build_workload` builds
+the whole round; serve mode builds each packet when its host sends it.
 
 - ``fabric-allreduce``: per coflow, W worker hosts each stream the full
   vector toward the coflow's *placed* switch, which aggregates and
@@ -21,12 +27,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import ceil
+from typing import Callable
 
 from ..coflow.model import Coflow, Flow, FlowDirection
 from ..errors import ConfigError
 from ..net.headers import OP_DATA, OP_RESULT
-from ..net.packet import Packet
-from ..net.traffic import DeterministicSource
+from ..net.packet import Packet, reserve_packet_ids
+from ..net.traffic import (
+    DeterministicSource,
+    coflow_wire_bytes,
+    make_coflow_packet,
+)
 from ..sim.rng import make_rng, stable_hash64
 from .topology import Topology, host_ip
 
@@ -70,7 +81,7 @@ class FabricWorkload:
     """Everything the fabric runner needs to drive and verify one run."""
 
     name: str
-    kind: str  # "allreduce" | "shuffle"
+    kind: str  # "allreduce" | "shuffle" | "stateful"
     coflows: list[FabricCoflowSpec]
     #: host id -> time-ordered (arrival_s, packet) at the host's NIC.
     arrivals: dict[int, list[tuple[float, Packet]]]
@@ -94,38 +105,93 @@ class FabricWorkload:
         return sum(len(stream) for stream in self.arrivals.values())
 
 
-def _flow_packets(
+#: One planned, not yet built packet: ``(index, coflow_id, wire_bytes,
+#: args)``.  ``index`` is its place in the round's build order (its
+#: packet-id offset within the round); ``args`` is what the round's
+#: ``make`` turns into the packet.
+PacketRecipe = tuple[int, int, int, tuple]
+
+
+@dataclass
+class RoundPlan:
+    """One round of a workload, planned but not built.
+
+    Planning draws everything random (worker selection, stateful keys)
+    and fixes every packet's id offset, wire size and host stream
+    position, but builds no packet: :meth:`build` turns one recipe into
+    its packet on demand, so a consumer that paces packets can build
+    only the ones it sends.
+    """
+
+    name: str
+    kind: str
+    coflows: list[FabricCoflowSpec]
+    expected: dict[tuple[int, int], int]
+    terminal_opcode: int
+    #: host id -> that host's recipes in NIC order (hosts with packets
+    #: only, ascending).
+    per_host: dict[int, list[PacketRecipe]]
+    #: Packet ids the round accounts for (``index`` values run 0..size-1;
+    #: a stateful round also reserves the id of its sizing sample).
+    size: int
+    make: Callable[[tuple, int], Packet]
+    app_factory: object = None
+
+    @property
+    def aggregated(self) -> bool:
+        return self.kind == "allreduce"
+
+    def build(self, recipe: PacketRecipe, packet_id: int) -> Packet:
+        return self.make(recipe[3], packet_id)
+
+
+def _range_packet(args: tuple, packet_id: int) -> Packet:
+    """A coflow data packet carrying keys ``start..start+count-1`` with
+    value ``key + 1`` (what :meth:`Flow.packets` builds for the fabric
+    workloads), addressed host to host."""
+    coflow_id, flow_id, seq, start, count, worker_id, src_ip, dst_ip = args
+    return make_coflow_packet(
+        coflow_id,
+        flow_id,
+        seq,
+        [(key, key + 1) for key in range(start, start + count)],
+        opcode=OP_DATA,
+        worker_id=worker_id,
+        src_ip=src_ip,
+        dst_ip=dst_ip,
+        packet_id=packet_id,
+    )
+
+
+def _flow_recipes(
     spec: FabricCoflowSpec,
     worker_index: int,
     host: int,
-    topology: Topology,
     elements_per_packet: int,
     dst_host: int | None,
-) -> list[Packet]:
-    """Materialize one worker's flow and re-address it for the fabric."""
-    flow = Flow(
-        flow_id=spec.coflow_id * 1024 + worker_index,
-        src_port=topology.hosts[host].port,
-        dst_port=0,
-        element_count=spec.vector_elements,
-        direction=FlowDirection.INPUT,
-        worker_id=worker_index,
-    )
-    packets = flow.packets(
-        spec.coflow_id,
-        elements_per_packet,
-        value_fn=lambda key: key + 1,
-        opcode=OP_DATA,
-    )
-    for packet in packets:
-        ip = packet.header("ipv4")
-        ip["src_ip"] = host_ip(host)
-        if dst_host is not None:
-            ip["dst_ip"] = host_ip(dst_host)
-        # Flow.packets pins dst_port for the single-switch world; the
-        # fabric routes hop by hop instead.
-        packet.meta.egress_port = None
-    return packets
+    first_index: int,
+) -> list[PacketRecipe]:
+    """Plan one worker's flow: the vector in ``elements_per_packet``
+    chunks (short tail last), ids from ``first_index`` on."""
+    flow_id = spec.coflow_id * 1024 + worker_index
+    src_ip = host_ip(host)
+    dst_ip = 0 if dst_host is None else host_ip(dst_host)
+    recipes: list[PacketRecipe] = []
+    vector = spec.vector_elements
+    for seq, start in enumerate(range(0, vector, elements_per_packet)):
+        count = min(elements_per_packet, vector - start)
+        recipes.append(
+            (
+                first_index + seq,
+                spec.coflow_id,
+                coflow_wire_bytes(count),
+                (
+                    spec.coflow_id, flow_id, seq, start, count,
+                    worker_index, src_ip, dst_ip,
+                ),
+            )
+        )
+    return recipes
 
 
 def _timed(
@@ -148,9 +214,9 @@ def _timed(
     return arrivals
 
 
-def _interleave(streams: list[list[Packet]]) -> list[Packet]:
+def _interleave(streams: list[list]) -> list:
     """Round-robin merge so concurrent coflows share the host NIC."""
-    out: list[Packet] = []
+    out: list = []
     cursor = 0
     while any(cursor < len(s) for s in streams):
         for stream in streams:
@@ -168,6 +234,58 @@ def _pick_workers(
     return tuple(sorted(host_ids[int(i)] for i in chosen))
 
 
+def plan_workload(
+    name: str,
+    topology: Topology,
+    *,
+    coflows: int = 2,
+    vector: int = 64,
+    elements_per_packet: int = 1,
+    link_bps: float,
+    seed: int = 0,
+    coflow_base: int = 0,
+) -> RoundPlan:
+    """Plan one round of a registered fabric workload (no packets built).
+
+    ``coflow_base`` offsets the generated coflow ids (ids run
+    ``base+1 .. base+coflows``): serve mode plans the same workload
+    round after round and needs globally-unique ids, while worker
+    selection stays a pure function of ``(name, seed, coflow_id)``.
+    """
+    if coflows < 1:
+        raise ConfigError(f"need at least one coflow, got {coflows}")
+    if vector < 1:
+        raise ConfigError(f"vector must be non-empty, got {vector}")
+    if coflow_base < 0:
+        raise ConfigError(f"coflow_base must be >= 0, got {coflow_base}")
+    if name == "fabric-allreduce":
+        return _allreduce(
+            topology, coflows, vector, elements_per_packet, seed, coflow_base
+        )
+    if name == "fabric-shuffle":
+        return _shuffle(
+            topology, coflows, vector, elements_per_packet, coflow_base
+        )
+    if name.startswith("stateful-"):
+        from ..stateful.workloads import plan_stateful_workload
+
+        return plan_stateful_workload(
+            name,
+            topology,
+            coflows=coflows,
+            vector=vector,
+            link_bps=link_bps,
+            seed=seed,
+            coflow_base=coflow_base,
+        )
+    from ..stateful.workloads import FABRIC_STATEFUL_WORKLOADS
+
+    raise ConfigError(
+        f"unknown fabric workload {name!r}; choose from "
+        f"{', '.join(FABRIC_WORKLOADS + FABRIC_STATEFUL_WORKLOADS)}"
+    )
+
+
 def build_workload(
     name: str,
     topology: Topology,
@@ -180,48 +298,32 @@ def build_workload(
     seed: int = 0,
     coflow_base: int = 0,
 ) -> FabricWorkload:
-    """Build one registered fabric workload over ``topology``'s hosts.
-
-    ``coflow_base`` offsets the generated coflow ids (ids run
-    ``base+1 .. base+coflows``): serve mode builds the same workload
-    round after round and needs globally-unique ids, while worker
-    selection stays a pure function of ``(name, seed, coflow_id)``.
-    """
-    if coflows < 1:
-        raise ConfigError(f"need at least one coflow, got {coflows}")
-    if vector < 1:
-        raise ConfigError(f"vector must be non-empty, got {vector}")
-    if coflow_base < 0:
-        raise ConfigError(f"coflow_base must be >= 0, got {coflow_base}")
-    if name == "fabric-allreduce":
-        return _allreduce(
-            topology, coflows, vector, elements_per_packet, link_bps, load,
-            seed, coflow_base,
-        )
-    if name == "fabric-shuffle":
-        return _shuffle(
-            topology, coflows, vector, elements_per_packet, link_bps, load,
-            seed, coflow_base,
-        )
-    if name.startswith("stateful-"):
-        from ..stateful.workloads import build_stateful_workload
-
-        return build_stateful_workload(
-            name,
-            topology,
-            coflows=coflows,
-            vector=vector,
-            elements_per_packet=elements_per_packet,
-            link_bps=link_bps,
-            load=load,
-            seed=seed,
-            coflow_base=coflow_base,
-        )
-    from ..stateful.workloads import FABRIC_STATEFUL_WORKLOADS
-
-    raise ConfigError(
-        f"unknown fabric workload {name!r}; choose from "
-        f"{', '.join(FABRIC_WORKLOADS + FABRIC_STATEFUL_WORKLOADS)}"
+    """Build one round of a registered fabric workload over
+    ``topology``'s hosts, every host streaming back-to-back at ``load``
+    x the link rate (see :func:`plan_workload` for the round itself)."""
+    plan = plan_workload(
+        name,
+        topology,
+        coflows=coflows,
+        vector=vector,
+        elements_per_packet=elements_per_packet,
+        link_bps=link_bps,
+        seed=seed,
+        coflow_base=coflow_base,
+    )
+    first_id = reserve_packet_ids(plan.size)
+    per_host = {
+        host: [plan.build(recipe, first_id + recipe[0]) for recipe in recipes]
+        for host, recipes in plan.per_host.items()
+    }
+    return FabricWorkload(
+        name=plan.name,
+        kind=plan.kind,
+        coflows=plan.coflows,
+        arrivals=_timed(per_host, topology, link_bps, load),
+        expected=plan.expected,
+        terminal_opcode=plan.terminal_opcode,
+        app_factory=plan.app_factory,
     )
 
 
@@ -230,46 +332,45 @@ def _allreduce(
     coflows: int,
     vector: int,
     elements_per_packet: int,
-    link_bps: float,
-    load: float,
     seed: int,
     coflow_base: int,
-) -> FabricWorkload:
+) -> RoundPlan:
     hosts = topology.host_ids
     workers_per_coflow = min(_WORKERS_PER_COFLOW, len(hosts))
     if workers_per_coflow < 2:
         raise ConfigError("allreduce needs a topology with >= 2 hosts")
     specs: list[FabricCoflowSpec] = []
-    per_host: dict[int, list[list[Packet]]] = {h: [] for h in hosts}
+    per_host: dict[int, list[list[PacketRecipe]]] = {h: [] for h in hosts}
     expected: dict[tuple[int, int], int] = {}
     result_batches = ceil(vector / elements_per_packet)
-    for index in range(coflows):
-        coflow_id = coflow_base + index + 1
+    index = 0
+    for offset in range(coflows):
+        coflow_id = coflow_base + offset + 1
         workers = _pick_workers(
             hosts, workers_per_coflow, "fabric-allreduce", coflow_id, seed
         )
         spec = FabricCoflowSpec(coflow_id, workers, vector, aggregated=True)
         specs.append(spec)
         for worker_index, host in enumerate(workers):
-            per_host[host].append(
-                _flow_packets(
-                    spec, worker_index, host, topology,
-                    elements_per_packet, dst_host=None,
-                )
+            flow = _flow_recipes(
+                spec, worker_index, host, elements_per_packet, None, index
             )
+            index += len(flow)
+            per_host[host].append(flow)
             expected[(coflow_id, host)] = result_batches
-    merged = {
-        host: _interleave(streams)
-        for host, streams in per_host.items()
-        if streams
-    }
-    return FabricWorkload(
+    return RoundPlan(
         name="fabric-allreduce",
         kind="allreduce",
         coflows=specs,
-        arrivals=_timed(merged, topology, link_bps, load),
         expected=expected,
         terminal_opcode=OP_RESULT,
+        per_host={
+            host: _interleave(flows)
+            for host, flows in per_host.items()
+            if flows
+        },
+        size=index,
+        make=_range_packet,
     )
 
 
@@ -278,11 +379,8 @@ def _shuffle(
     coflows: int,
     vector: int,
     elements_per_packet: int,
-    link_bps: float,
-    load: float,
-    seed: int,
     coflow_base: int,
-) -> FabricWorkload:
+) -> RoundPlan:
     hosts = topology.host_ids
     if len(hosts) < 2:
         raise ConfigError("shuffle needs a topology with >= 2 hosts")
@@ -290,10 +388,11 @@ def _shuffle(
     reducers = hosts[len(hosts) // 2:]
     packets_per_flow = ceil(vector / elements_per_packet)
     specs: list[FabricCoflowSpec] = []
-    per_host: dict[int, list[list[Packet]]] = {h: [] for h in hosts}
+    per_host: dict[int, list[list[PacketRecipe]]] = {h: [] for h in hosts}
     expected: dict[tuple[int, int], int] = {}
-    for index in range(coflows):
-        coflow_id = coflow_base + index + 1
+    index = 0
+    for offset in range(coflows):
+        coflow_id = coflow_base + offset + 1
         spec = FabricCoflowSpec(
             coflow_id, tuple(mappers), vector, aggregated=False
         )
@@ -301,24 +400,25 @@ def _shuffle(
         for m_index, mapper in enumerate(mappers):
             for r_index, reducer in enumerate(reducers):
                 worker_index = m_index * len(reducers) + r_index
-                per_host[mapper].append(
-                    _flow_packets(
-                        spec, worker_index, mapper, topology,
-                        elements_per_packet, dst_host=reducer,
-                    )
+                flow = _flow_recipes(
+                    spec, worker_index, mapper, elements_per_packet,
+                    reducer, index,
                 )
+                index += len(flow)
+                per_host[mapper].append(flow)
         for reducer in reducers:
             expected[(coflow_id, reducer)] = len(mappers) * packets_per_flow
-    merged = {
-        host: _interleave(streams)
-        for host, streams in per_host.items()
-        if streams
-    }
-    return FabricWorkload(
+    return RoundPlan(
         name="fabric-shuffle",
         kind="shuffle",
         coflows=specs,
-        arrivals=_timed(merged, topology, link_bps, load),
         expected=expected,
         terminal_opcode=OP_DATA,
+        per_host={
+            host: _interleave(flows)
+            for host, flows in per_host.items()
+            if flows
+        },
+        size=index,
+        make=_range_packet,
     )

@@ -37,7 +37,22 @@ def consume_packet_id() -> int:
     return next(_packet_ids)
 
 
-@dataclass
+def reserve_packet_ids(count: int) -> int:
+    """Set aside the next ``count`` global packet ids; returns the first.
+
+    A generator that builds packets later, out of id order, stamps them
+    with explicit ids from a reserved block (``Packet(packet_id=...)``),
+    so every packet built in the meantime — switch emissions during a
+    run — draws the same id it would have had if the whole block had
+    been built up front.
+    """
+    global _packet_ids
+    first = next(_packet_ids)
+    _packet_ids = itertools.count(first + count)
+    return first
+
+
+@dataclass(slots=True)
 class Element:
     """One data element of an array payload: a key and a value.
 
@@ -57,6 +72,8 @@ class ElementArray:
     schemes (1 element per packet vs 16).
     """
 
+    __slots__ = ("elements", "element_width_bytes")
+
     def __init__(
         self,
         elements: Iterable[Element] | Sequence[tuple[int, int]],
@@ -75,6 +92,22 @@ class ElementArray:
                 converted.append(Element(key, value))
         self.elements = converted
         self.element_width_bytes = element_width_bytes
+
+    @classmethod
+    def adopt(
+        cls, elements: list[Element], element_width_bytes: int = 8
+    ) -> "ElementArray":
+        """Wrap a freshly built list of :class:`Element` without copying.
+
+        The list becomes the array's storage, so the caller must not keep
+        using it; the width must already be positive.  Packet builders
+        use this instead of the validating constructor, which re-walks
+        and copies every element.
+        """
+        array = cls.__new__(cls)
+        array.elements = elements
+        array.element_width_bytes = element_width_bytes
+        return array
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -97,7 +130,7 @@ class ElementArray:
         return [e.value for e in self.elements]
 
     def copy(self) -> "ElementArray":
-        return ElementArray(
+        return ElementArray.adopt(
             [Element(e.key, e.value) for e in self.elements],
             self.element_width_bytes,
         )
@@ -149,11 +182,23 @@ class Packet:
     format under study.
     """
 
+    __slots__ = (
+        "_headers",
+        "_payload",
+        "extra_payload_bytes",
+        "meta",
+        "packet_id",
+        "_sizes",
+        "_by_type",
+        "_accepts_memo",
+    )
+
     def __init__(
         self,
         headers: Sequence[Header],
         payload: ElementArray | None = None,
         extra_payload_bytes: int = 0,
+        packet_id: int | None = None,
     ) -> None:
         if extra_payload_bytes < 0:
             raise ConfigError(
@@ -163,7 +208,9 @@ class Packet:
         self._payload = payload
         self.extra_payload_bytes = extra_payload_bytes
         self.meta = PacketMetadata()
-        self.packet_id = next(_packet_ids)
+        self.packet_id = (
+            next(_packet_ids) if packet_id is None else packet_id
+        )
         # Size, header-index, and parser-verdict caches, rebuilt lazily
         # after the headers or payload attribute is reassigned (the only
         # mutations the pipeline performs).
@@ -222,7 +269,7 @@ class Packet:
             header_bytes = sum(h.type._width_bytes for h in self._headers)
             payload = self._payload
             payload_bytes = (
-                payload.width_bytes if payload else 0
+                0 if payload is None else payload.width_bytes
             ) + self.extra_payload_bytes
             frame = max(
                 header_bytes + payload_bytes + ETHERNET_FCS_BYTES,
@@ -257,12 +304,13 @@ class Packet:
     @property
     def goodput_bytes(self) -> int:
         """Application-useful bytes: the element array only."""
-        return self._payload.width_bytes if self._payload else 0
+        payload = self._payload
+        return 0 if payload is None else payload.width_bytes
 
     @property
     def element_count(self) -> int:
         payload = self._payload
-        return len(payload.elements) if payload else 0
+        return 0 if payload is None else len(payload.elements)
 
     def copy(self) -> "Packet":
         """Deep copy with fresh packet id and reset metadata."""

@@ -13,7 +13,12 @@ from typing import Iterator
 import numpy as np
 
 from ..errors import ConfigError
-from ..units import BITS_PER_BYTE
+from ..units import (
+    BITS_PER_BYTE,
+    ETHERNET_FCS_BYTES,
+    ETHERNET_MIN_FRAME_BYTES,
+    ETHERNET_OVERHEAD_BYTES,
+)
 from .headers import coflow_header, standard_stack
 from .packet import Element, ElementArray, Packet
 
@@ -31,20 +36,19 @@ def make_coflow_packet(
     round_: int = 0,
     src_ip: int = 0,
     dst_ip: int = 0,
+    packet_id: int | None = None,
 ) -> Packet:
     """Build a fully-formed coflow packet (Eth/IP/UDP/coflow + array).
 
     Workload generators call this once per packet, so the fixed parts of
     the stack (Ethernet/IPv4/UDP with their next-protocol wiring) come
     from a shared template and only the variable fields are set — with
-    the same range validation ``instantiate`` performs.
+    the same range validation ``instantiate`` performs.  ``packet_id``
+    stamps an id from a reserved block (see
+    :func:`~repro.net.packet.reserve_packet_ids`) instead of drawing the
+    next global one.
     """
-    global _TEMPLATE_HEADERS
-    template = _TEMPLATE_HEADERS
-    if template is None:
-        template = _TEMPLATE_HEADERS = standard_stack()
-        template.append(coflow_header(0, 0))
-    eth, ip, udp, coflow = (h.copy() for h in template)
+    eth, ip, udp, coflow = [h.copy() for h in _template_headers()]
     if src_ip or dst_ip:
         ip["src_ip"] = src_ip
         ip["dst_ip"] = dst_ip
@@ -56,10 +60,47 @@ def make_coflow_packet(
     coflow["element_width_bytes"] = element_width_bytes
     coflow["worker_id"] = worker_id
     coflow["round"] = round_
-    payload = ElementArray(
+    if element_width_bytes <= 0:
+        raise ConfigError(
+            f"element width must be positive, got {element_width_bytes}"
+        )
+    payload = ElementArray.adopt(
         [Element(k, v) for k, v in elements], element_width_bytes
     )
-    return Packet([eth, ip, udp, coflow], payload)
+    return Packet([eth, ip, udp, coflow], payload, packet_id=packet_id)
+
+
+def _template_headers() -> list:
+    """The shared Eth/IPv4/UDP/coflow template stack (built once)."""
+    global _TEMPLATE_HEADERS
+    template = _TEMPLATE_HEADERS
+    if template is None:
+        template = _TEMPLATE_HEADERS = standard_stack()
+        template.append(coflow_header(0, 0))
+    return template
+
+
+_WIRE_BYTES: dict[tuple[int, int], int] = {}
+
+
+def coflow_wire_bytes(element_count: int, element_width_bytes: int = 8) -> int:
+    """Wire bytes of a :func:`make_coflow_packet` packet, without one.
+
+    Generators that pace packets before (or instead of) building them
+    use this; it equals ``packet.wire_bytes`` for every such packet.
+    """
+    key = (element_count, element_width_bytes)
+    wire = _WIRE_BYTES.get(key)
+    if wire is None:
+        header_bytes = sum(h.type._width_bytes for h in _template_headers())
+        frame = max(
+            header_bytes
+            + element_count * element_width_bytes
+            + ETHERNET_FCS_BYTES,
+            ETHERNET_MIN_FRAME_BYTES,
+        )
+        wire = _WIRE_BYTES[key] = frame + ETHERNET_OVERHEAD_BYTES
+    return wire
 
 
 class TrafficSource:

@@ -97,6 +97,9 @@ class PipelineRuntimeContext:
     def register(self, name: str, size: int, width_bits: int = 32) -> RegisterArray:
         return self._pipeline.get_register(name, size, width_bits)
 
+    def release_register(self, name: str) -> None:
+        self._pipeline.release_register(name)
+
     def table(self, name: str) -> MatchTable:
         return self._pipeline.get_table(name)
 
@@ -156,10 +159,10 @@ class Pipeline(Component):
         self._latency_s = (parser_latency_cycles + stages) * self._cycle_s
         # Per-service stat handles, bound on first use so the stats
         # registry keeps the seed's creation order (packets and elements
-        # are always created together; the histogram first appears when
-        # an accepted packet reaches the delay observation).
+        # are always created together).
         self._svc_counters = None
-        self._delay_hist = None
+        # Accesses of registers an app has released (still counted).
+        self._released_accesses = 0
         self.context = PipelineRuntimeContext(self)
         self.trace = None
         """Optional :class:`~repro.telemetry.recorder.TraceRecorder`; the
@@ -189,6 +192,16 @@ class Pipeline(Component):
                 f"requested {size}"
             )
         return register
+
+    def release_register(self, name: str) -> None:
+        """Free a register array whose state the app no longer needs.
+
+        Its accesses stay in the ``state_accesses`` probe, so releasing
+        state never changes a monitor series.
+        """
+        register = self._registers.pop(name, None)
+        if register is not None:
+            self._released_accesses += register.access_count
 
     def install_table(self, table: MatchTable) -> None:
         if table.name in self._tables:
@@ -240,8 +253,8 @@ class Pipeline(Component):
             # Pure-forwarding fast path: no hook can read or write the
             # PHV and no span is recorded, so the accept/reject walk is
             # all that is observable — skip parse/deparse entirely.
-            # Counters, width enforcement, and the queueing-delay
-            # histogram update in the same order as the full path.
+            # Counters and width enforcement update in the same order as
+            # the full path.
             accepted = self.parser.accepts(packet)
             counters = self._svc_counters
             if counters is None:
@@ -268,14 +281,9 @@ class Pipeline(Component):
             # assignment is identical with and without instrumentation.
             consume_packet_id()
             self.deparser.packets_deparsed += 1
-            record = ServiceRecord(
+            return ServiceRecord(
                 ready_time, start, exit_time, _FORWARD_DECISION
             )
-            hist = self._delay_hist
-            if hist is None:
-                hist = self._delay_hist = self.histogram("queueing_delay_s")
-            hist.observe(start - ready_time)
-            return record
 
         if self.trace is None:
             # Untraced hook path: take the verdict (and the parser's
@@ -337,10 +345,6 @@ class Pipeline(Component):
         if decision.verdict is Verdict.DROP:
             self.counter("drops").add()
         record = ServiceRecord(ready_time, start, exit_time, decision)
-        hist = self._delay_hist
-        if hist is None:
-            hist = self._delay_hist = self.histogram("queueing_delay_s")
-        hist.observe(record.queueing_delay)
         if self.trace is not None:
             self._trace_service(packet, record)
         return record
@@ -414,7 +418,8 @@ class Pipeline(Component):
             ),
             f"{path}.backlog_s": self.backlog_s,
             f"{path}.state_accesses": lambda now_s: float(
-                sum(r.access_count for r in self._registers.values())
+                self._released_accesses
+                + sum(r.access_count for r in self._registers.values())
             ),
             f"{path}.mat_lookups": lambda now_s: float(
                 sum(t.access_count for t in self._tables.values())

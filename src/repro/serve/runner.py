@@ -32,7 +32,7 @@ from ..fabric.runner import (
     switch_section_json,
 )
 from ..fabric.topology import Topology, parse_topology
-from ..sim.event import Simulator
+from ..sim.event import Simulator, draining_gc
 from ..telemetry.ledger import SERVE_LEDGER_SCHEMA, git_sha
 from ..telemetry.monitor import _percentile
 from .replay import RateProfile, ServeSchedule, build_schedule
@@ -88,7 +88,7 @@ class ServeRun:
 
     @property
     def delivered_to_hosts(self) -> int:
-        return sum(len(h.received) for h in self.hosts.values())
+        return sum(h.delivered for h in self.hosts.values())
 
     @property
     def dropped(self) -> int:
@@ -108,7 +108,7 @@ class ServeRun:
             "injected": self.schedule.injected,
             "delivered_to_hosts": self.delivered_to_hosts,
             "dropped": self.dropped,
-            "coflows_scheduled": len(self.schedule.coflows),
+            "coflows_scheduled": self.schedule.coflows_scheduled,
             "coflows_completed": self.coflows_completed,
             "rounds": self.schedule.rounds,
             "windows": len(self.windows),
@@ -262,6 +262,12 @@ class ServeRun:
         return out
 
 
+def _hosted(spec) -> HostedCoflow:
+    return HostedCoflow(
+        spec.coflow_id, spec.worker_hosts, spec.vector_elements
+    )
+
+
 def _window_line(record: dict) -> str:
     """One human-readable live line per closed window."""
     p99 = record["p99_latency_ns"]
@@ -328,6 +334,24 @@ def run_serve(
     # ADCP packs up to its array width (same split as run_fabric).
     epp = 1 if target == "rmt" else min(16, vector)
     profile = RateProfile(rate, ramp_ns=ramp_ns, bursts=tuple(bursts))
+    chooser = None
+
+    def place(spec) -> str:
+        nonlocal chooser
+        if chooser is None:
+            chooser = make_placement(placement)
+        return chooser.choose(spec.coflow_id, spec.worker_hosts, topo)
+
+    # The first scheduled coflow placed on each switch: a switch hosts
+    # aggregation state for the whole run iff it hosts any coflow, so
+    # the fabric is built with these and later coflows join as their
+    # first packets leave the hosts.
+    first_hosted: dict[str, HostedCoflow] = {}
+
+    def scheduled(spec) -> None:
+        if spec.aggregated:
+            first_hosted.setdefault(place(spec), _hosted(spec))
+
     schedule = build_schedule(
         workload,
         topo,
@@ -339,20 +363,8 @@ def run_serve(
         elements_per_packet=epp,
         link_bps=PORT_SPEED_BPS,
         seed=seed,
+        on_scheduled=scheduled,
     )
-
-    placement_map: dict[int, str] = {}
-    hosted_by_switch: dict[str, list[HostedCoflow]] = {}
-    if schedule.aggregated:
-        chooser = make_placement(placement)
-        for spec in schedule.coflows:
-            where = chooser.choose(spec.coflow_id, spec.worker_hosts, topo)
-            placement_map[spec.coflow_id] = where
-            hosted_by_switch.setdefault(where, []).append(
-                HostedCoflow(
-                    spec.coflow_id, spec.worker_hosts, spec.vector_elements
-                )
-            )
 
     monitor = RollingWindowMonitor(window_ns)
 
@@ -369,13 +381,13 @@ def run_serve(
 
     monitor.on_window = close_hook
 
-    # Host-delivery hook: per-window delivery/latency accounting plus
-    # coflow completion against the schedule's expected counts.
-    remaining = dict(schedule.expected)
+    # Coflow bookkeeping lives from a coflow's first departure to its
+    # completion: expected terminal counts per (coflow, host), the hosts
+    # still waiting, the CCT clock start, and the state placement.
+    remaining: dict[tuple[int, int], int] = {}
     open_hosts: dict[int, set[int]] = {}
-    for coflow_id, host_id in schedule.expected:
-        open_hosts.setdefault(coflow_id, set()).add(host_id)
-    first_departure = schedule.first_departure_s
+    first_departure: dict[int, float] = {}
+    placement_map: dict[int, str] = {}
     terminal_opcode = schedule.terminal_opcode
 
     def host_sink(endpoint: HostEndpoint):
@@ -390,22 +402,22 @@ def run_serve(
                 if header["opcode"] == terminal_opcode:
                     key = (header["coflow_id"], endpoint.host_id)
                     left = remaining.get(key, 0)
-                    if left > 0:
+                    if left > 1:
                         remaining[key] = left - 1
-                        if left == 1:
-                            coflow_id = key[0]
-                            pending = open_hosts[coflow_id]
-                            pending.discard(endpoint.host_id)
-                            if not pending:
-                                monitor.record_cct(
-                                    arrival_s,
-                                    (
-                                        arrival_s
-                                        - first_departure[coflow_id]
-                                    )
-                                    / _NS,
-                                )
-            endpoint.deliver(packet, arrival_s)
+                    elif left == 1:
+                        del remaining[key]
+                        coflow_id = key[0]
+                        pending = open_hosts[coflow_id]
+                        pending.discard(endpoint.host_id)
+                        if not pending:
+                            del open_hosts[coflow_id]
+                            placement_map.pop(coflow_id, None)
+                            monitor.record_cct(
+                                arrival_s,
+                                (arrival_s - first_departure.pop(coflow_id))
+                                / _NS,
+                            )
+            endpoint.tally(packet, arrival_s)
 
         return deliver
 
@@ -422,7 +434,9 @@ def run_serve(
         target=target,
         routing=routing,
         placement_map=placement_map,
-        hosted_by_switch=hosted_by_switch,
+        hosted_by_switch={
+            where: [spec] for where, spec in first_hosted.items()
+        },
         app_factory=schedule.app_factory,
         elements_per_packet=epp,
         link_latency_ns=link_latency_ns,
@@ -433,6 +447,17 @@ def run_serve(
         host_sink=host_sink,
         spans=spans,
     )
+
+    def on_open(spec, expected: dict) -> None:
+        if expected:
+            first_departure[spec.coflow_id] = float("inf")
+        for key, count in expected.items():
+            remaining[key] = count
+            open_hosts.setdefault(key[0], set()).add(key[1])
+        if spec.aggregated:
+            where = place(spec)
+            placement_map[spec.coflow_id] = where
+            fabric.switches[where].app.host(_hosted(spec))
 
     # Fabric-wide gauges and counters for the window records, summed
     # over every switch's monitor probes (name patterns per PR 4).
@@ -467,17 +492,21 @@ def run_serve(
     )
     monitor.set_drop_counter(
         lambda now_s: float(
-            sum(len(switch._result.dropped) for switch in switches)
+            sum(switch._result.dropped_count for switch in switches)
         ),
     )
-    monitor.set_offered_schedule(schedule.departure_times_s)
     policy.validate_metrics(monitor.metric_names())
     sim.add_time_probe(monitor)
 
-    span_coflows = inject_arrivals(
-        fabric, schedule.arrivals, stamp_origin=True, spans=spans
+    injector = inject_arrivals(
+        fabric,
+        schedule.streams(on_open, first_departure),
+        stamp_origin=True,
+        spans=spans,
     )
-    sim.run()
+    monitor.set_offered_counter(injector.departed_before)
+    with draining_gc():
+        sim.run()
     monitor.finish(max(sim.now, schedule.duration_s))
     sections = fabric.finalize_sections()
 
@@ -521,5 +550,5 @@ def run_serve(
         events_coalesced=sim.events_coalesced,
         window_ns=window_ns,
         spans=spans,
-        span_coflows=span_coflows,
+        span_coflows=injector.span_coflows,
     )

@@ -83,9 +83,10 @@ class RollingWindowMonitor:
         self._delivered = 0
         self._latencies_ns: list[float] = []
         self._ccts_ns: list[float] = []
-        # Offered-load schedule (sorted departure times) and its cursor.
-        self._offered_times: list[float] = []
-        self._offered_cursor = 0
+        # Cumulative offered load: departures before a time, and the
+        # count at the last close.
+        self._offered_fn: Callable[[float], int] | None = None
+        self._offered_last = 0
 
     # --- registration -------------------------------------------------------------
 
@@ -118,10 +119,11 @@ class RollingWindowMonitor:
             raise ConfigError(f"duplicate window metric {name!r}")
         table[name] = fn
 
-    def set_offered_schedule(self, departure_times_s: list[float]) -> None:
-        """Sorted host-departure times; each window counts its slice."""
-        self._offered_times = departure_times_s
-        self._offered_cursor = 0
+    def set_offered_counter(self, fn: Callable[[float], int]) -> None:
+        """Offered load as ``fn(t)`` = host departures strictly before
+        ``t``; each window counts its slice at close."""
+        self._offered_fn = fn
+        self._offered_last = 0
 
     def metric_names(self) -> list[str]:
         """Every metric a window record will carry (for SLO validation)."""
@@ -172,12 +174,10 @@ class RollingWindowMonitor:
         end_s = self._end_s
 
         offered = 0
-        times = self._offered_times
-        cursor = self._offered_cursor
-        while cursor < len(times) and times[cursor] < end_s:
-            offered += 1
-            cursor += 1
-        self._offered_cursor = cursor
+        if self._offered_fn is not None:
+            total = self._offered_fn(end_s)
+            offered = total - self._offered_last
+            self._offered_last = total
 
         delivered = self._delivered
         record: dict = {

@@ -29,7 +29,7 @@ from .workloads import (
     FABRIC_STATEFUL_WORKLOADS,
     STATEFUL_WORKLOADS,
     build_single,
-    build_stateful_workload,
+    plan_stateful_workload,
 )
 
 __all__ = [
@@ -53,7 +53,7 @@ __all__ = [
     "TokenBucketApp",
     "Transition",
     "build_single",
-    "build_stateful_workload",
+    "plan_stateful_workload",
     "compile_divergence",
     "run_stateful",
     "efsm_program",

@@ -511,8 +511,8 @@ def run_stateful(
             series = _app_series(
                 workload, stream.app, stream.truth, result.duration_s
             )
-            series["delivered"] = _point(len(result.delivered))
-            series["dropped"] = _point(len(result.dropped))
+            series["delivered"] = _point(result.delivered_count)
+            series["dropped"] = _point(result.dropped_count)
             series["consumed"] = _point(result.consumed)
             series["duration_ns"] = _point(result.duration_s * 1e9)
             section = StatefulSection(

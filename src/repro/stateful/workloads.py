@@ -7,8 +7,8 @@ Two shapes, mirroring the coflow workloads:
   ports, with replies leaving on a fixed result port.  Key/flow draws
   are zipf-skewed (``skew`` is the zipf exponent — the campaign sweeps
   it), so access concentration is a first-class experimental axis.
-* :func:`build_stateful_workload` — the fabric variant, registered
-  under ``stateful-<name>`` in :func:`repro.fabric.workloads.build_workload`:
+* :func:`plan_stateful_workload` — the fabric variant, registered
+  under ``stateful-<name>`` in :func:`repro.fabric.workloads.plan_workload`:
   client hosts stream requests toward a server host, the first-hop leaf
   claims them, and the returned workload carries an ``app_factory`` that
   instantiates this package's apps on every switch (sharing one
@@ -25,9 +25,14 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..errors import ConfigError
-from ..net.headers import OP_DATA, OP_GET, OP_PUT
+from ..net.headers import OP_DATA, OP_GET, OP_PUT, OP_RESULT
 from ..net.packet import Packet
-from ..net.traffic import DeterministicSource, make_coflow_packet, merge_sources
+from ..net.traffic import (
+    DeterministicSource,
+    coflow_wire_bytes,
+    make_coflow_packet,
+    merge_sources,
+)
 from ..sim.rng import make_rng, stable_hash64
 from .apps import (
     OP_ACK,
@@ -46,7 +51,7 @@ __all__ = [
     "STATEFUL_WORKLOADS",
     "SingleStream",
     "build_single",
-    "build_stateful_workload",
+    "plan_stateful_workload",
 ]
 
 STATEFUL_WORKLOADS = (
@@ -97,13 +102,6 @@ class SingleStream:
 
 def _zipf_key(rng, skew: float, space: int) -> int:
     return (int(rng.zipf(skew)) - 1) % space
-
-
-def _sample_wire_bytes(elements_per_packet: int) -> int:
-    sample = make_coflow_packet(
-        _STATEFUL_COFLOW, 0, 0, [(0, 0)] * max(1, elements_per_packet)
-    )
-    return sample.wire_bytes
 
 
 def _paced(
@@ -162,7 +160,7 @@ def _round_robin_ports(packets: list[Packet]) -> dict[int, list[Packet]]:
 def _single_tokenbucket(
     flows, skew, packets, seed, elements_per_packet, port_speed_bps
 ) -> SingleStream:
-    wire = _sample_wire_bytes(1)
+    wire = coflow_wire_bytes(1)
     pps = _aggregate_pps(port_speed_bps, wire)
     app = TokenBucketApp(
         flows=flows,
@@ -311,7 +309,7 @@ def _single_keycache(
 ) -> SingleStream:
     key_space = flows
     shared = ReplicatedObject("keycache", key_space, replicas=1, mode="lww")
-    wire = _sample_wire_bytes(1)
+    wire = coflow_wire_bytes(1)
     pps = _aggregate_pps(port_speed_bps, wire)
     app = KeyCacheApp(
         shared=shared,
@@ -366,20 +364,18 @@ class StatefulAppFactory:
         return app
 
 
-def build_stateful_workload(
+def plan_stateful_workload(
     name: str,
     topology,
     *,
     coflows: int = 2,
     vector: int = 64,
-    elements_per_packet: int = 1,
     link_bps: float,
-    load: float = 1.0,
     seed: int = 0,
     coflow_base: int = 0,
 ):
-    """Build a ``stateful-*`` fabric workload (dispatched from
-    :func:`repro.fabric.workloads.build_workload`).
+    """Plan one round of a ``stateful-*`` fabric workload (dispatched
+    from :func:`repro.fabric.workloads.plan_workload`).
 
     Every host but the last streams ``vector`` request packets toward
     the last host (the server/store); the first-hop leaf's app instance
@@ -388,7 +384,7 @@ def build_stateful_workload(
     timing-dependent, so completion accounting is skipped and the
     stateful ledger carries the verdicts instead.
     """
-    from ..fabric.workloads import FabricCoflowSpec, FabricWorkload, _timed
+    from ..fabric.workloads import FabricCoflowSpec, RoundPlan
 
     short = name.removeprefix("stateful-")
     if short not in STATEFUL_WORKLOADS:
@@ -404,7 +400,7 @@ def build_stateful_workload(
     skew = 1.3
     key_space = max(16, len(clients) * 4)
     specs = []
-    per_host: dict[int, list[Packet]] = {}
+    per_host: dict[int, list] = {}
     for group in range(coflows):
         coflow_id = coflow_base + group + 1
         members = tuple(
@@ -427,45 +423,43 @@ def build_stateful_workload(
         )
         truth["attackers"] = sorted(attackers)
     counts: dict[int, int] = {}
-    for index, client in enumerate(clients):
+    wire = coflow_wire_bytes(1)
+    server_ip = topology.hosts[server].ip
+    index = 0
+    for offset, client in enumerate(clients):
         rng = make_rng(stable_hash64(f"{name}/{seed}/h{client}") % (2**32))
-        coflow_id = coflow_base + (index % coflows) + 1
-        stream: list[Packet] = []
+        coflow_id = coflow_base + (offset % coflows) + 1
+        client_ip = topology.hosts[client].ip
+        stream = []
         for seq in range(vector):
+            opcode = OP_DATA
             if short == "tokenbucket":
-                packet = make_coflow_packet(
-                    coflow_id, flow_id=client, seq=seq,
-                    elements=[(client, 1)],
-                )
+                element = (client, 1)
             elif short == "synflood":
                 if client in attackers:
                     opcode = OP_SYN
                 else:
                     opcode = (OP_SYN, OP_ACK, OP_FIN)[seq % 3]
-                packet = make_coflow_packet(
-                    coflow_id, flow_id=client, seq=seq,
-                    elements=[(client, 0)], opcode=opcode,
-                )
+                element = (client, 0)
             elif short == "heavyhitter":
                 key = _zipf_key(rng, skew, key_space)
                 counts[key] = counts.get(key, 0) + 1
-                packet = make_coflow_packet(
-                    coflow_id, flow_id=client, seq=seq,
-                    elements=[(key, 1)],
-                )
+                element = (key, 1)
             else:  # keycache
                 key = _zipf_key(rng, skew, key_space)
                 put = seq % 8 == 0
-                packet = make_coflow_packet(
-                    coflow_id, flow_id=client, seq=seq,
-                    elements=[(key, seq + 1 if put else 0)],
-                    opcode=OP_PUT if put else OP_GET,
+                element = (key, seq + 1 if put else 0)
+                opcode = OP_PUT if put else OP_GET
+            stream.append(
+                (
+                    index,
+                    coflow_id,
+                    wire,
+                    (coflow_id, client, seq, element, opcode, client_ip,
+                     server_ip),
                 )
-            ip = packet.header("ipv4")
-            ip["src_ip"] = topology.hosts[client].ip
-            ip["dst_ip"] = topology.hosts[server].ip
-            packet.meta.egress_port = None
-            stream.append(packet)
+            )
+            index += 1
         per_host[client] = stream
     if short == "heavyhitter":
         threshold = max(2, _HH_THRESHOLD // 2)
@@ -474,15 +468,28 @@ def build_stateful_workload(
             k for k, c in counts.items() if c >= threshold
         )
         truth["threshold"] = threshold
-    factory = _fabric_factory(short, topology, clients, truth, link_bps)
-    arrivals = _timed(per_host, topology, link_bps, load)
-    return FabricWorkload(
+    return RoundPlan(
         name=name,
         kind="stateful",
         coflows=specs,
-        arrivals=arrivals,
         expected={},
-        app_factory=factory,
+        terminal_opcode=OP_RESULT,
+        per_host=per_host,
+        # One id past the packets: building this round used to build a
+        # sizing sample packet too, and later packet ids (switch
+        # emissions, span records) still count it.
+        size=index + 1,
+        make=_request_packet,
+        app_factory=_fabric_factory(short, topology, clients, truth, link_bps),
+    )
+
+
+def _request_packet(args: tuple, packet_id: int) -> Packet:
+    """One client request of a stateful fabric round, client to server."""
+    coflow_id, client, seq, element, opcode, src_ip, dst_ip = args
+    return make_coflow_packet(
+        coflow_id, flow_id=client, seq=seq, elements=[element],
+        opcode=opcode, src_ip=src_ip, dst_ip=dst_ip, packet_id=packet_id,
     )
 
 
@@ -490,7 +497,7 @@ def _fabric_factory(
     short: str, topology, clients, truth: dict, link_bps: float
 ) -> StatefulAppFactory:
     flows = max(clients) + 1 if clients else 1
-    wire = _sample_wire_bytes(1)
+    wire = coflow_wire_bytes(1)
     pps = len(clients) * link_bps / (wire * 8)
     if short == "tokenbucket":
         def build(switch_name: str) -> StatefulApp:

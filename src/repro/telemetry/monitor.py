@@ -29,8 +29,9 @@ tree and collects them.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from math import fsum
+from math import copysign, fsum
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -123,7 +124,7 @@ class ResourceMonitor:
         self.interval_s = interval_ns / _NS_PER_S
         self.times_s: list[float] = []
         self._probes: dict[str, ProbeFn] = {}
-        self._columns: dict[str, list[float]] = {}
+        self._columns: dict[str, array | list] = {}
         self._names: list[str] = []
         self._frozen = False
         self._next_s = self.interval_s
@@ -178,7 +179,11 @@ class ResourceMonitor:
 
     def _freeze(self) -> None:
         self._names = sorted(self._probes)
-        self._columns = {name: [] for name in self._names}
+        # A series is held as a ``[value, count]`` run until its value
+        # first changes, then as packed doubles (one 8-byte cell per
+        # sample).  Most series of a switch (idle tables, fixed memory
+        # claims, stateless pipelines) never change.
+        self._columns = {name: [0.0, 0] for name in self._names}
         self._frozen = True
 
     # --- sampling ---------------------------------------------------------------
@@ -205,7 +210,16 @@ class ResourceMonitor:
         self.times_s.append(time_s)
         columns = self._columns
         for name in self._names:
-            columns[name].append(float(self._probes[name](time_s)))
+            value = float(self._probes[name](time_s))
+            column = columns[name]
+            if type(column) is array:
+                column.append(value)
+            elif not column[1] or _same(value, column[0]):
+                column[0] = value
+                column[1] += 1
+            else:
+                packed = columns[name] = array("d", column[:1]) * column[1]
+                packed.append(value)
 
     def finish(self, now_s: float) -> None:
         """Take the end-of-run sample (called by the telemetry hub).
@@ -230,7 +244,14 @@ class ResourceMonitor:
         """The raw value column of one series."""
         if name not in self._columns:
             raise ConfigError(f"no monitored series {name!r}")
-        return self._columns[name]
+        return list(self._values(name))
+
+    def _values(self, name: str) -> array:
+        """One series' samples as packed doubles."""
+        column = self._columns[name]
+        if type(column) is array:
+            return column
+        return array("d", column[:1]) * column[1]
 
     def series(self, name: str) -> list[tuple[float, float]]:
         """``(time_s, value)`` pairs of one series."""
@@ -240,7 +261,7 @@ class ResourceMonitor:
         """Per-series digests (peak/mean/p99/last) for the run ledger."""
         out: dict[str, SeriesSummary] = {}
         for name in self._names:
-            column = self._columns[name]
+            column = self._values(name)
             if not column:
                 continue
             ordered = sorted(column)
@@ -262,12 +283,10 @@ class ResourceMonitor:
         so identical runs serialize byte-identically."""
         header = ",".join(["time_ns"] + self._names)
         lines = [header]
+        columns = [self._values(name) for name in self._names]
         for row, time_s in enumerate(self.times_s):
             cells = [format(time_s * _NS_PER_S, ".10g")]
-            cells.extend(
-                format(self._columns[name][row], ".10g")
-                for name in self._names
-            )
+            cells.extend(format(column[row], ".10g") for column in columns)
             lines.append(",".join(cells))
         return lines
 
@@ -282,6 +301,7 @@ class ResourceMonitor:
         """The series as Chrome trace-event counter (``"ph": "C"``)
         tracks, mergeable into the PR 1 timeline export."""
         out: list[dict] = []
+        columns = {name: self._values(name) for name in self._names}
         for row, time_s in enumerate(self.times_s):
             for name in self._names:
                 root, _, _ = name.partition(".")
@@ -292,10 +312,16 @@ class ResourceMonitor:
                         "ph": "C",
                         "pid": pid or root,
                         "ts": time_s * 1e6,
-                        "args": {"value": self._columns[name][row]},
+                        "args": {"value": columns[name][row]},
                     }
                 )
         return out
+
+
+def _same(value: float, held: float) -> bool:
+    """Bit-for-bit equality for run detection (``-0.0`` is not ``0.0``;
+    a NaN never repeats)."""
+    return value == held and copysign(1.0, value) == copysign(1.0, held)
 
 
 def merged_chrome_events(

@@ -45,10 +45,10 @@ class TraceSection:
             )
             return errors
         delivered_events = trace.count(name="packet.delivered")
-        if delivered_events != len(self.result.delivered):
+        if delivered_events != self.result.delivered_count:
             errors.append(
                 f"{self.label}: {delivered_events} packet.delivered events "
-                f"vs {len(self.result.delivered)} delivered packets"
+                f"vs {self.result.delivered_count} delivered packets"
             )
         recirc_events = trace.count(category=Category.RECIRC)
         if recirc_events != self.result.recirculated_packets:
@@ -81,7 +81,7 @@ class TraceRun:
                     "events_retained": len(s.telemetry.trace),
                     "events_by_name": s.telemetry.trace.counts_by_name(),
                     "snapshots": len(s.telemetry.metrics.series),
-                    "delivered": len(s.result.delivered),
+                    "delivered": s.result.delivered_count,
                     "recirculated": s.result.recirculated_packets,
                     "duration_s": s.result.duration_s,
                 }
@@ -370,7 +370,7 @@ class ProfileRun:
                     "label": s.label,
                     "attribution": s.profile.to_json(),
                     "bottlenecks": s.report.to_json(),
-                    "delivered": len(s.result.delivered),
+                    "delivered": s.result.delivered_count,
                     "recirculated": s.result.recirculated_packets,
                     "duration_s": s.result.duration_s,
                 }
@@ -567,7 +567,7 @@ def run_trace(
             )
         )
         run.lines.append(
-            f"  counters: delivered={len(section.result.delivered)} "
+            f"  counters: delivered={section.result.delivered_count} "
             f"recirculated={section.result.recirculated_packets} "
             f"consumed={section.result.consumed} "
             f"(consistent with trace)"
@@ -700,7 +700,7 @@ def run_monitor(
             {
                 "label": s.label,
                 "duration_s": s.result.duration_s,
-                "delivered": len(s.result.delivered),
+                "delivered": s.result.delivered_count,
                 "consumed": s.result.consumed,
                 "recirculated": s.result.recirculated_packets,
                 "samples": len(s.monitor),

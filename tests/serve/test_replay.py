@@ -33,6 +33,15 @@ def _schedule(rate=0.8, **overrides):
     return build_schedule("fabric-allreduce", topo, **kwargs)
 
 
+def _departures(schedule):
+    """Every host departure of the replay, sorted (streams consumed)."""
+    return sorted(
+        time
+        for stream in schedule.streams().values()
+        for time, _ in stream
+    )
+
+
 class TestParseDuration:
     @pytest.mark.parametrize(
         "text,expected",
@@ -127,19 +136,18 @@ class TestBuildSchedule:
     def test_deterministic_per_seed(self):
         first = _schedule(seed=3)
         second = _schedule(seed=3)
-        assert first.departure_times_s == second.departure_times_s
+        assert _departures(first) == _departures(second)
         assert first.injected == second.injected
         assert first.rounds == second.rounds
 
     def test_seeds_diverge(self):
-        assert (
-            _schedule(seed=0).departure_times_s
-            != _schedule(seed=1).departure_times_s
+        assert _departures(_schedule(seed=0)) != _departures(
+            _schedule(seed=1)
         )
 
     def test_periodic_gaps_are_constant(self):
         schedule = _schedule(arrivals="periodic", rate=0.5)
-        for stream in schedule.arrivals.values():
+        for stream in schedule.streams().values():
             times = [t for t, _ in stream]
             gaps = {
                 round(b - a, 15) for a, b in zip(times, times[1:])
@@ -152,22 +160,42 @@ class TestBuildSchedule:
 
     def test_departures_sorted_and_within_horizon(self):
         schedule = _schedule()
-        times = schedule.departure_times_s
-        assert times == sorted(times)
-        assert all(0.0 < t <= schedule.duration_s for t in times)
+        count = 0
+        for stream in schedule.streams().values():
+            times = [t for t, _ in stream]
+            assert times == sorted(times)
+            assert all(0.0 < t <= schedule.duration_s for t in times)
+            count += len(times)
+        assert count == schedule.injected
 
     def test_coflow_ids_unique_across_rounds(self):
-        schedule = _schedule(rate=2.0)
-        ids = [spec.coflow_id for spec in schedule.coflows]
-        assert len(ids) == len(set(ids))
+        ids = []
+        schedule = _schedule(
+            rate=2.0, on_scheduled=lambda spec: ids.append(spec.coflow_id)
+        )
+        assert len(ids) == len(set(ids)) == schedule.coflows_scheduled
         assert schedule.rounds > 1
 
     def test_every_scheduled_coflow_has_first_departure(self):
-        schedule = _schedule()
-        for spec in schedule.coflows:
-            assert spec.coflow_id in schedule.first_departure_s
-        for key in schedule.expected:
-            assert key[0] in schedule.first_departure_s
+        scheduled = []
+        schedule = _schedule(
+            on_scheduled=lambda spec: scheduled.append(spec.coflow_id)
+        )
+        opened, expected, first_departure = [], {}, {}
+
+        def on_open(spec, counts):
+            opened.append(spec.coflow_id)
+            expected.update(counts)
+            first_departure[spec.coflow_id] = float("inf")
+
+        for stream in schedule.streams(on_open, first_departure).values():
+            for _ in stream:
+                pass
+        assert sorted(opened) == sorted(scheduled)
+        for coflow_id in scheduled:
+            assert 0.0 < first_departure[coflow_id] <= schedule.duration_s
+        for key in expected:
+            assert key[0] in first_departure
 
     def test_single_switch_topology(self):
         schedule = _schedule(topology="single-8")
@@ -194,4 +222,5 @@ class TestBuildSchedule:
         # The horizon cuts every packet: an empty (but valid) schedule.
         schedule = _schedule(rate=1e-12, duration_ns=10.0)
         assert schedule.injected == 0
-        assert schedule.coflows == []
+        assert schedule.coflows_scheduled == 0
+        assert schedule.streams() == {}

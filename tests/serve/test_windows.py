@@ -134,8 +134,9 @@ class TestRecords:
         monitor = _monitor(100.0)
         # Departure exactly on the boundary belongs to the next window
         # (strict <), matching delivery semantics.
-        monitor.set_offered_schedule(
-            [10.0 * _NS, 99.0 * _NS, 100.0 * _NS, 150.0 * _NS]
+        departures = [10.0 * _NS, 99.0 * _NS, 100.0 * _NS, 150.0 * _NS]
+        monitor.set_offered_counter(
+            lambda t: sum(1 for d in departures if d < t)
         )
         monitor(250.0 * _NS)
         offered = [r["offered"] for r in monitor.records]
