@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.__main__ import main
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.fabric import run_fabric
 from repro.fabric.routing import FlowletSelector
 
@@ -52,6 +52,28 @@ class TestEndToEnd:
             run_fabric("leaf-spine-2x2", target="tofino")
         with pytest.raises(ConfigError, match="unknown topology"):
             run_fabric("ring-9")
+
+
+class TestHandedOffResults:
+    @pytest.mark.parametrize("target", ["adcp", "rmt"])
+    def test_list_views_refuse_handed_off_packets(self, target):
+        run = run_fabric("leaf-spine-2x2", "fabric-allreduce", target=target)
+        for section in run.sections:
+            result = section.result
+            # Port sinks own what a fabric switch delivers: nothing is
+            # listed, yet the count covers every delivery.
+            assert result.delivered == []
+            assert result.delivered_count == result.handed_off > 0
+            with pytest.raises(SimulationError, match="port sinks"):
+                result.delivered_wire_bytes
+            with pytest.raises(SimulationError, match="port sinks"):
+                result.delivered_goodput_bytes
+            with pytest.raises(SimulationError, match="port sinks"):
+                result.delivered_elements
+            with pytest.raises(SimulationError, match="port sinks"):
+                result.delivered_to(0)
+            with pytest.raises(SimulationError, match="port sinks"):
+                result.last_departure()
 
 
 class TestPlacement:
