@@ -87,6 +87,9 @@ class SharedMemoryContext:
     def register(self, name: str, size: int, width_bits: int = 32) -> RegisterArray:
         return self._switch.get_register(name, size, width_bits)
 
+    def release_register(self, name: str) -> None:
+        self._switch.release_register(name)
+
     def table(self, name: str) -> MatchTable:
         return self._switch.get_table(name)
 
@@ -124,6 +127,10 @@ class RunToCompletionSwitch(Component):
                 f"requested {size}"
             )
         return register
+
+    def release_register(self, name: str) -> None:
+        """Free a register array the app no longer needs."""
+        self._registers.pop(name, None)
 
     def install_table(self, table: MatchTable) -> None:
         if table.name in self._tables:

@@ -158,6 +158,25 @@ class TestRunToCompletion:
         with pytest.raises(ConfigError):
             switch.get_register("r", 16)
 
+    def test_app_can_release_shared_state(self):
+        class Releaser(SwitchApp):
+            def __init__(self):
+                super().__init__("releaser")
+
+            def ingress(self, ctx, packet, phv):
+                ctx.register("kept", 4)
+                ctx.register("scratch", 4).write(0, 7)
+                ctx.release_register("scratch")
+                return Decision.forward()
+
+        switch = RunToCompletionSwitch(RtcConfig(), Releaser())
+        packet = make_coflow_packet(1, 0, 0, [(1, 1)])
+        packet.meta.ingress_port = 0
+        packet.meta.egress_port = 1
+        result = switch.run([(0.0, packet)])
+        assert result.delivered_count == 1
+        assert set(switch.registers) == {"kept"}
+
 
 class TestThreaded:
     def test_sits_between_software_and_line_rate(self):
