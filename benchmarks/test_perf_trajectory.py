@@ -30,7 +30,6 @@ from benchlib import report
 from repro.adcp.switch import ADCPSwitch
 from repro.apps import ParameterServerApp
 from repro.rmt.switch import RMTSwitch
-from repro.sim.event import Simulator
 from repro.telemetry import ResourceMonitor, Telemetry
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -39,9 +38,9 @@ PROFILE_PATH = REPO_ROOT / "BENCH_PROFILE.json"
 #: Throughput drop versus the committed baseline that triggers a warning.
 REGRESSION_THRESHOLD = 0.20
 
-#: The calendar/default kernel should clear this multiple of the
-#: committed heap-backend baseline; below it the kernel-bench prints a
-#: non-blocking ``::warning::`` (satellite gate for the speed overhaul).
+#: The kernel should clear this multiple of the pre-overhaul kernel's
+#: events/s; below it the kernel-bench prints a non-blocking
+#: ``::warning::`` (satellite gate for the speed overhaul).
 KERNEL_SPEEDUP_FLOOR = 5.0
 
 #: Documented budget for resource-monitor sampling at the default
@@ -55,17 +54,15 @@ VECTOR = 256
 REPEATS = 5
 
 
-def _setup_rmt(config, backend=None):
+def _setup_rmt(config):
     app = ParameterServerApp(WORKERS, VECTOR, elements_per_packet=1)
-    sim = Simulator(queue_backend=backend) if backend else None
-    switch = RMTSwitch(config, app, sim=sim)
+    switch = RMTSwitch(config, app)
     return switch, list(app.workload(config.port_speed_bps))
 
 
-def _setup_adcp(config, backend=None):
+def _setup_adcp(config):
     app = ParameterServerApp(WORKERS, VECTOR, elements_per_packet=16)
-    sim = Simulator(queue_backend=backend) if backend else None
-    switch = ADCPSwitch(config, app, sim=sim)
+    switch = ADCPSwitch(config, app)
     return switch, list(app.workload(config.port_speed_bps))
 
 
@@ -73,7 +70,7 @@ def _logical_events(sim) -> int:
     return sim.events_dispatched + sim.events_coalesced
 
 
-def _measure(setup, config, backend=None) -> dict:
+def _measure(setup, config) -> dict:
     """Best-of-N run-only wall clock for one switch model.
 
     Construction and workload materialization stay outside the timed
@@ -82,7 +79,7 @@ def _measure(setup, config, backend=None) -> dict:
     best_s = float("inf")
     switch = result = None
     for _ in range(REPEATS):
-        switch, workload = setup(config, backend)
+        switch, workload = setup(config)
         start = time.perf_counter()
         result = switch.run(workload)
         best_s = min(best_s, time.perf_counter() - start)
@@ -98,7 +95,6 @@ def _measure(setup, config, backend=None) -> dict:
         "packets_per_s": packets / best_s,
         "events_per_s": events / best_s,
         "sim_duration_s": result.duration_s,
-        "queue_backend": switch._sim.queue_backend,
     }
 
 
@@ -376,48 +372,40 @@ def test_serve_throughput_trajectory():
 
 
 #: events/s of the pre-overhaul kernel on the RMT quickstart row (the
-#: BENCH_PROFILE.json committed before the calendar-queue + batched-
-#: admission rework).  The kernel-bench warns when any backend falls
+#: BENCH_PROFILE.json committed before the dispatch-loop + batched-
+#: admission rework).  The kernel-bench warns when the kernel falls
 #: under KERNEL_SPEEDUP_FLOOR times this floor.
 SEED_HEAP_EVENTS_PER_S = 6573.9
 
 
-def test_kernel_backend_bench(bench_rmt_config):
-    """Kernel-bench: the RMT quickstart row, once per queue backend.
+def test_kernel_bench(bench_rmt_config):
+    """Kernel-bench: the RMT quickstart row, run-only events/s.
 
-    Records run-only events/s for the ``heap`` and ``calendar`` backends
-    under ``kernel`` in BENCH_PROFILE.json and prints a non-blocking
-    ``::warning::`` when a backend lands below 5x the pre-overhaul heap
-    baseline.  Both backends dispatch the identical event order, so the
-    packet outcomes must agree exactly — that part is a hard assert.
+    Records the row under ``kernel`` in BENCH_PROFILE.json and prints a
+    non-blocking ``::warning::`` when it lands below 5x the pre-overhaul
+    kernel's events/s.
     """
-    measured = {
-        backend: _measure(_setup_rmt, bench_rmt_config, backend=backend)
-        for backend in ("heap", "calendar")
-    }
-
-    rows = []
+    row = _measure(_setup_rmt, bench_rmt_config)
+    speedup = row["events_per_s"] / SEED_HEAP_EVENTS_PER_S
+    rows = [
+        f"kernel: {row['wall_s'] * 1e3:7.2f} ms wall, "
+        f"{row['events_per_s'] / 1e3:8.1f} kevt/s "
+        f"({speedup:.1f}x the pre-overhaul kernel)"
+    ]
     warnings = []
-    for backend, row in measured.items():
-        speedup = row["events_per_s"] / SEED_HEAP_EVENTS_PER_S
-        rows.append(
-            f"{backend:>9}: {row['wall_s'] * 1e3:7.2f} ms wall, "
-            f"{row['events_per_s'] / 1e3:8.1f} kevt/s "
-            f"({speedup:.1f}x the pre-overhaul heap kernel)"
+    if speedup < KERNEL_SPEEDUP_FLOOR:
+        warnings.append(
+            f"::warning file=benchmarks/test_perf_trajectory.py::"
+            f"kernel at {row['events_per_s']:.0f} evt/s is only "
+            f"{speedup:.1f}x the pre-overhaul baseline "
+            f"({SEED_HEAP_EVENTS_PER_S:.0f} evt/s); the speed overhaul "
+            f"floor is {KERNEL_SPEEDUP_FLOOR:.0f}x"
         )
-        if speedup < KERNEL_SPEEDUP_FLOOR:
-            warnings.append(
-                f"::warning file=benchmarks/test_perf_trajectory.py::"
-                f"kernel backend {backend!r} at {row['events_per_s']:.0f} "
-                f"evt/s is only {speedup:.1f}x the pre-overhaul heap "
-                f"baseline ({SEED_HEAP_EVENTS_PER_S:.0f} evt/s); the "
-                f"speed overhaul floor is {KERNEL_SPEEDUP_FLOOR:.0f}x"
-            )
 
     report(
-        "T2d — kernel backend bench (RMT quickstart, run-only)",
+        "T2d — kernel bench (RMT quickstart, run-only)",
         rows + warnings,
-        data={"kernel": measured, "warnings": warnings},
+        data={"kernel": row, "warnings": warnings},
     )
     for line in warnings:
         print(line)
@@ -429,15 +417,10 @@ def test_kernel_backend_bench(bench_rmt_config):
     profile["kernel"] = {
         "seed_heap_events_per_s": SEED_HEAP_EVENTS_PER_S,
         "speedup_floor": KERNEL_SPEEDUP_FLOOR,
-        "backends": measured,
+        "row": row,
     }
     PROFILE_PATH.write_text(json.dumps(profile, indent=1))
-
-    # Backend choice must never change simulation results.
-    heap, calendar = measured["heap"], measured["calendar"]
-    assert heap["packets"] == calendar["packets"]
-    assert heap["events"] == calendar["events"]
-    assert heap["sim_duration_s"] == calendar["sim_duration_s"]
+    assert row["packets"] > 0 and row["events"] > 0
 
 
 #: Documented events/s budget for ``sampled`` telemetry vs ``off`` on the

@@ -309,18 +309,16 @@ class ADCPSwitch(Component):
 
     def _span_service(self, packet, record, pipeline, queue_hop="ingress_queue"):
         """Record one pipeline pass's span hops for a sampled packet."""
-        span = packet.meta.span
-        if span is not None:
-            self.spans.service(
-                span,
-                packet.packet_id,
-                self.name,
-                record.ready_time,
-                record.service_start,
-                pipeline.parser_latency_cycles * pipeline.cycle_s,
-                record.exit_time,
-                queue_hop,
-            )
+        self.spans.service(
+            packet.meta.span,
+            packet.packet_id,
+            self.name,
+            record.ready_time,
+            record.service_start,
+            pipeline.parser_latency_cycles * pipeline.cycle_s,
+            record.exit_time,
+            queue_hop,
+        )
 
     def inject(self, packet: Packet, time: float) -> None:
         """Schedule one packet arrival without draining the event queue
@@ -361,7 +359,7 @@ class ADCPSwitch(Component):
                 lane=lane,
             )
         record = pipeline.service(packet, ready, self._ingress_hook)
-        if self.spans is not None:
+        if self.spans is not None and packet.meta.span is not None:
             self._span_service(packet, record, pipeline)
         decision = record.decision
 
@@ -507,7 +505,7 @@ class ADCPSwitch(Component):
             self._central_hook,
             enforce_width=self.app is not None,
         )
-        if self.spans is not None:
+        if self.spans is not None and packet.meta.span is not None:
             self._span_service(packet, record, pipeline, "tm")
         self.tm1.release(packet, now=record.exit_time)
         packet.meta.central_done = True
@@ -625,7 +623,7 @@ class ADCPSwitch(Component):
         pipeline = self.egress[lane]
         packet.meta.egress_pipeline = lane
         record = pipeline.service(packet, ready, self._egress_hook)
-        if self.spans is not None:
+        if self.spans is not None and packet.meta.span is not None:
             self._span_service(packet, record, pipeline, "tm")
         self.tm2.release(packet, now=record.exit_time)
         decision = record.decision

@@ -48,11 +48,12 @@ class TxPort:
         starts then or when the port frees up, whichever is later.
         """
         start = max(ready_time, self._free_at)
-        duration = self.wire_time(packet)
+        wire_bytes = packet.wire_bytes
+        duration = wire_bytes * BITS_PER_BYTE / self.link_bps
         departure = start + duration
         self._free_at = departure
         self.packets_sent += 1
-        self.wire_bytes_sent += packet.wire_bytes
+        self.wire_bytes_sent += wire_bytes
         self.goodput_bytes_sent += packet.goodput_bytes
         self.busy_seconds += duration
         self.last_departure = departure

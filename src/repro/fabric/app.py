@@ -71,13 +71,18 @@ class FabricAggregateApp(SwitchApp):
         return True
 
     def claims(self, packet: Packet) -> bool:
-        if not packet.has_header("coflow"):
-            return False
-        header = packet.header("coflow")
-        return (
-            header["opcode"] == OP_DATA
-            and header["coflow_id"] in self.hosted
-        )
+        return self._claimed_coflow(packet) is not None
+
+    def _claimed_coflow(self, packet: Packet) -> int | None:
+        """The hosted coflow a data packet belongs to, or None."""
+        coflow = packet._header_index().get("coflow")
+        if coflow is None:
+            return None
+        values = coflow._values
+        coflow_id = values["coflow_id"]
+        if values["opcode"] == OP_DATA and coflow_id in self.hosted:
+            return coflow_id
+        return None
 
     def bind_placement(self, partitions: int) -> None:
         """Chunk-granularity hash placement, per hosted coflow.
@@ -125,9 +130,9 @@ class FabricAggregateApp(SwitchApp):
     # --- hooks --------------------------------------------------------------------
 
     def central(self, ctx: PipelineContext, packet: Packet, phv: PHV) -> Decision:
-        if not self.claims(packet):
+        coflow_id = self._claimed_coflow(packet)
+        if coflow_id is None:
             return Decision.forward()
-        coflow_id = packet.header("coflow")["coflow_id"]
         spec = self.hosted[coflow_id]
         partition = ctx.pipeline_index
         self._state_ctx.setdefault((coflow_id, partition), ctx)
@@ -138,14 +143,15 @@ class FabricAggregateApp(SwitchApp):
             f"agg{coflow_id}_cnt", spec.vector_elements, width_bits=32
         )
         workers = len(spec.worker_hosts)
-        assert packet.payload is not None
-        for element in packet.payload:
-            total = acc.add(element.key, element.value)
-            seen = count.add(element.key, 1)
-            if seen == workers:
-                self._pending[(coflow_id, partition)].append(
-                    Element(element.key, total)
-                )
+        payload = packet.payload
+        assert payload is not None
+        keys = payload.keys()
+        totals = acc.add_many(keys, payload.values())
+        seen = count.add_many(keys, [1] * len(keys))
+        pending = self._pending[(coflow_id, partition)]
+        for key, total, contributions in zip(keys, totals, seen):
+            if contributions == workers:
+                pending.append(Element(key, total))
                 self._completed[(coflow_id, partition)] += 1
         emissions = self._drain_emissions(coflow_id, partition)
         if emissions:

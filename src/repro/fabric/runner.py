@@ -278,10 +278,11 @@ def _make_resolver(name, table, selector, placement_map, sim):
 
     def resolve(packet: Packet):
         now = sim.now
-        if placement_map and packet.has_header("coflow"):
-            header = packet.header("coflow")
-            if header["opcode"] == OP_DATA:
-                hosting = placement_map.get(header["coflow_id"])
+        headers = packet._header_index()
+        if placement_map:
+            coflow = headers.get("coflow")
+            if coflow is not None and coflow._values["opcode"] == OP_DATA:
+                hosting = placement_map.get(coflow._values["coflow_id"])
                 if hosting is not None:
                     if hosting == name:
                         # The state lives here: leave the packet to the
@@ -290,12 +291,8 @@ def _make_resolver(name, table, selector, placement_map, sim):
                     return selector.choose(
                         packet, table.to_switch[hosting], now
                     )
-        dst_ip = (
-            packet.header("ipv4")["dst_ip"]
-            if packet.has_header("ipv4")
-            else 0
-        )
-        host = host_of_ip(dst_ip)
+        ipv4 = headers.get("ipv4")
+        host = host_of_ip(0 if ipv4 is None else ipv4._values["dst_ip"])
         if host is None or host not in table.to_host:
             return None
         candidates = table.to_host[host]

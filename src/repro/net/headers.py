@@ -11,6 +11,7 @@ array payload that follows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import le
 
 from ..errors import ConfigError
 
@@ -90,6 +91,32 @@ class HeaderType:
     def instantiate(self, **values: int) -> "Header":
         """Create a header instance, defaulting unset fields to zero."""
         return Header(self, dict(values))
+
+    def pack(self, *values: int) -> "Header":
+        """Create a header from one value per field, in layout order.
+
+        Every value is range-checked against the layout's maxima in one
+        pass and fails with the same ConfigError as item assignment;
+        per-packet builders use this instead of one ``__setitem__`` per
+        field.
+        """
+        maxima = self._max_by_name.values()
+        if len(values) != len(maxima):
+            raise ConfigError(
+                f"header type {self.name!r} has {len(maxima)} fields, "
+                f"got {len(values)} values"
+            )
+        if min(values) < 0 or not all(map(le, values, maxima)):
+            for spec, value in zip(self.fields, values):
+                if not 0 <= value <= spec.max_value:
+                    raise ConfigError(
+                        f"value {value} out of range for "
+                        f"{self.name}.{spec.name} ({spec.width_bits} bits)"
+                    )
+        header = Header.__new__(Header)
+        header.type = self
+        header._values = dict(zip(self._max_by_name, values))
+        return header
 
 
 class Header:

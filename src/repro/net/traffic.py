@@ -19,7 +19,7 @@ from ..units import (
     ETHERNET_MIN_FRAME_BYTES,
     ETHERNET_OVERHEAD_BYTES,
 )
-from .headers import coflow_header, standard_stack
+from .headers import COFLOW_HEADER, standard_stack
 from .packet import Element, ElementArray, Packet
 
 _TEMPLATE_HEADERS: list | None = None
@@ -41,25 +41,28 @@ def make_coflow_packet(
     """Build a fully-formed coflow packet (Eth/IP/UDP/coflow + array).
 
     Workload generators call this once per packet, so the fixed parts of
-    the stack (Ethernet/IPv4/UDP with their next-protocol wiring) come
-    from a shared template and only the variable fields are set — with
-    the same range validation ``instantiate`` performs.  ``packet_id``
+    the stack (Ethernet/IPv4/UDP with their next-protocol wiring) are
+    copied from a shared template, and the coflow header is packed from
+    its field values in one pass, with the same range validation
+    ``instantiate`` performs.  ``packet_id``
     stamps an id from a reserved block (see
     :func:`~repro.net.packet.reserve_packet_ids`) instead of drawing the
     next global one.
     """
-    eth, ip, udp, coflow = [h.copy() for h in _template_headers()]
+    eth, ip, udp = [h.copy() for h in _template_headers()]
     if src_ip or dst_ip:
         ip["src_ip"] = src_ip
         ip["dst_ip"] = dst_ip
-    coflow["coflow_id"] = coflow_id
-    coflow["flow_id"] = flow_id
-    coflow["seq"] = seq
-    coflow["opcode"] = opcode
-    coflow["element_count"] = len(elements)
-    coflow["element_width_bytes"] = element_width_bytes
-    coflow["worker_id"] = worker_id
-    coflow["round"] = round_
+    coflow = COFLOW_HEADER.pack(
+        coflow_id,
+        flow_id,
+        seq,
+        opcode,
+        len(elements),
+        element_width_bytes,
+        worker_id,
+        round_,
+    )
     if element_width_bytes <= 0:
         raise ConfigError(
             f"element width must be positive, got {element_width_bytes}"
@@ -71,12 +74,11 @@ def make_coflow_packet(
 
 
 def _template_headers() -> list:
-    """The shared Eth/IPv4/UDP/coflow template stack (built once)."""
+    """The shared Eth/IPv4/UDP template stack (built once)."""
     global _TEMPLATE_HEADERS
     template = _TEMPLATE_HEADERS
     if template is None:
         template = _TEMPLATE_HEADERS = standard_stack()
-        template.append(coflow_header(0, 0))
     return template
 
 
@@ -92,7 +94,9 @@ def coflow_wire_bytes(element_count: int, element_width_bytes: int = 8) -> int:
     key = (element_count, element_width_bytes)
     wire = _WIRE_BYTES.get(key)
     if wire is None:
-        header_bytes = sum(h.type._width_bytes for h in _template_headers())
+        header_bytes = COFLOW_HEADER.width_bytes + sum(
+            h.type.width_bytes for h in _template_headers()
+        )
         frame = max(
             header_bytes
             + element_count * element_width_bytes

@@ -249,51 +249,22 @@ class Pipeline(Component):
         self._busy_s += cycle_s
         exit_time = start + self._latency_s
 
-        if hook is None and self.trace is None:
-            # Pure-forwarding fast path: no hook can read or write the
-            # PHV and no span is recorded, so the accept/reject walk is
-            # all that is observable — skip parse/deparse entirely.
-            # Counters and width enforcement update in the same order as
-            # the full path.
-            accepted = self.parser.accepts(packet)
-            counters = self._svc_counters
-            if counters is None:
-                counters = self._svc_counters = (
-                    self.counter("packets"),
-                    self.counter("elements"),
-                )
-            counters[0].add()
-            counters[1].add(packet.element_count)
-            if not accepted:
-                self.counter("parse_rejects").add()
-                return ServiceRecord(
-                    ready_time, start, exit_time, Decision.drop("parse_reject")
-                )
-            if enforce_width and packet.element_count > self.array_width:
-                raise SimulationError(
-                    f"{self.path}: packet with {packet.element_count} "
-                    f"elements reached a stateful hook on a width-"
-                    f"{self.array_width} pipeline; the workload must be "
-                    f"restructured to scalar packets on this target"
-                )
-            # The full path's deparse builds a transient Packet, which
-            # draws one global packet id; draw it here too so id
-            # assignment is identical with and without instrumentation.
-            consume_packet_id()
-            self.deparser.packets_deparsed += 1
-            return ServiceRecord(
-                ready_time, start, exit_time, _FORWARD_DECISION
-            )
-
+        parser = self.parser
+        phv = None
         if self.trace is None:
-            # Untraced hook path: take the verdict (and the parser's
-            # accounting) from the walk, and hand the hook a PHV that
-            # only materializes its containers if touched.  Hooks that
-            # work off the packet alone never pay for allocation.
-            accepted = self.parser.accepts(packet)
-            phv = self.parser.lazy_phv(packet)
+            # Untraced: take the verdict (and the parser's accounting)
+            # from the accept walk, or from its memo on the packet.
+            memo = packet._accepts_memo
+            if memo is not None and memo[0] is parser._accept_sig:
+                accepted = memo[1]
+                if accepted:
+                    parser.packets_parsed += 1
+                else:
+                    parser.packets_rejected += 1
+            else:
+                accepted = parser.accepts(packet)
         else:
-            result = self.parser.parse(packet)
+            result = parser.parse(packet)
             accepted = result.accepted
             phv = result.phv
         counters = self._svc_counters
@@ -302,8 +273,10 @@ class Pipeline(Component):
                 self.counter("packets"),
                 self.counter("elements"),
             )
-        counters[0].add()
-        counters[1].add(packet.element_count)
+        payload = packet._payload
+        elements = 0 if payload is None else len(payload.elements)
+        counters[0].value += 1.0
+        counters[1].value += elements
         if not accepted:
             self.counter("parse_rejects").add()
             decision = Decision.drop("parse_reject")
@@ -312,13 +285,31 @@ class Pipeline(Component):
                 self._trace_service(packet, record)
             return record
 
-        if enforce_width and packet.element_count > self.array_width:
+        if enforce_width and elements > self.array_width:
             raise SimulationError(
-                f"{self.path}: packet with {packet.element_count} elements "
+                f"{self.path}: packet with {elements} elements "
                 f"reached a stateful hook on a width-{self.array_width} "
                 f"pipeline; the workload must be restructured to scalar "
                 f"packets on this target"
             )
+
+        if phv is None:
+            if hook is None:
+                # Pure-forwarding fast path: no hook can read or write
+                # the PHV and no span is recorded, so the accept/reject
+                # walk is all that is observable — skip parse/deparse
+                # entirely.  The full path's deparse builds a transient
+                # Packet, which draws one global packet id; draw it here
+                # too so id assignment is identical with and without
+                # instrumentation.
+                consume_packet_id()
+                self.deparser.packets_deparsed += 1
+                return ServiceRecord(
+                    ready_time, start, exit_time, _FORWARD_DECISION
+                )
+            # A PHV that only materializes its containers if touched:
+            # hooks that work off the packet alone never pay for them.
+            phv = parser.lazy_phv(packet)
 
         if hook is None:
             decision = _FORWARD_DECISION

@@ -376,18 +376,16 @@ class RMTSwitch(Component):
 
     def _span_service(self, packet, record, pipeline, queue_hop="ingress_queue"):
         """Record one pipeline pass's span hops for a sampled packet."""
-        span = packet.meta.span
-        if span is not None:
-            self.spans.service(
-                span,
-                packet.packet_id,
-                self.name,
-                record.ready_time,
-                record.service_start,
-                pipeline.parser_latency_cycles * pipeline.cycle_s,
-                record.exit_time,
-                queue_hop,
-            )
+        self.spans.service(
+            packet.meta.span,
+            packet.packet_id,
+            self.name,
+            record.ready_time,
+            record.service_start,
+            pipeline.parser_latency_cycles * pipeline.cycle_s,
+            record.exit_time,
+            queue_hop,
+        )
 
     def _make_ingress_event(self, packet: Packet, time: float):
         def event() -> None:
@@ -450,7 +448,7 @@ class RMTSwitch(Component):
                     # Wrong pipeline: one plain ingress pass, then loop
                     # around through the state pipeline's recirc port.
                     record = pipeline.service(packet, ready, self._ingress_hook)
-                    if self.spans is not None:
+                    if self.spans is not None and packet.meta.span is not None:
                         self._span_service(packet, record, pipeline)
                     if record.decision.verdict is Verdict.DROP:
                         self._drop(packet, record.decision, record.exit_time)
@@ -461,7 +459,7 @@ class RMTSwitch(Component):
                 hook = self._ingress_hook
 
         record = pipeline.service(packet, ready, hook, enforce_width=enforce)
-        if self.spans is not None:
+        if self.spans is not None and packet.meta.span is not None:
             self._span_service(packet, record, pipeline)
         if runs_central_here:
             self._mark_central_done(packet)
@@ -508,7 +506,7 @@ class RMTSwitch(Component):
             spans.record(span, packet.packet_id, self.name, "tm", ready, deliver)
         egress = self.egress[pipeline]
         record = egress.service(packet, deliver, None)
-        if spans is not None:
+        if span is not None:
             self._span_service(packet, record, egress, "tm")
         self.tm.release(packet, now=record.exit_time)
         loop = self.recirc_ports[pipeline]
@@ -741,7 +739,7 @@ class RMTSwitch(Component):
             else:
                 hook = self._egress_hook
         record = pipeline.service(packet, ready, hook, enforce_width=enforce)
-        if self.spans is not None:
+        if self.spans is not None and packet.meta.span is not None:
             self._span_service(packet, record, pipeline, "tm")
         self.tm.release(packet, now=record.exit_time)
         if run_central:

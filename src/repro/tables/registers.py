@@ -9,6 +9,8 @@ max, overwrite).  Values wrap at the cell width, as silicon does.
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 
 from ..errors import ConfigError, TableError
@@ -17,10 +19,11 @@ from ..errors import ConfigError, TableError
 class RegisterArray:
     """A fixed-size array of fixed-width stateful cells.
 
-    Backed by a numpy array for bulk operations (the array MAU reads and
-    writes many cells per cycle).  All single-cell mutators return the
-    post-operation value, matching the "read the new value into the PHV"
-    semantics of register ALUs.
+    Cells live in a compact ``array('Q')`` of plain ints: register ALUs
+    touch one cell per element, and plain-int reads and writes cost far
+    less than indexing a numpy array per element.  All single-cell
+    mutators return the post-operation value, matching the "read the new
+    value into the PHV" semantics of register ALUs.
     """
 
     def __init__(self, name: str, size: int, width_bits: int = 32) -> None:
@@ -34,7 +37,7 @@ class RegisterArray:
         self.size = size
         self.width_bits = width_bits
         self._mask = (1 << width_bits) - 1
-        self._cells = np.zeros(size, dtype=np.uint64)
+        self._cells = array("Q", bytes(8 * size))
         self.reads = 0
         self.writes = 0
 
@@ -47,83 +50,104 @@ class RegisterArray:
         """
         return self.reads + self.writes
 
-    def _check_index(self, index: int) -> None:
-        if not 0 <= index < self.size:
-            raise TableError(
-                f"register {self.name!r} index {index} out of range "
-                f"[0, {self.size})"
-            )
+    def _out_of_range(self, index: int) -> TableError:
+        return TableError(
+            f"register {self.name!r} index {index} out of range "
+            f"[0, {self.size})"
+        )
 
     def read(self, index: int) -> int:
-        self._check_index(index)
+        if not 0 <= index < self.size:
+            raise self._out_of_range(index)
         self.reads += 1
-        return int(self._cells[index])
+        return self._cells[index]
 
     def write(self, index: int, value: int) -> int:
-        self._check_index(index)
+        if not 0 <= index < self.size:
+            raise self._out_of_range(index)
         self.writes += 1
-        self._cells[index] = np.uint64(value & self._mask)
-        return int(self._cells[index])
+        new = self._cells[index] = value & self._mask
+        return new
 
     def add(self, index: int, value: int) -> int:
         """Wrapping add; returns the new value."""
-        self._check_index(index)
+        if not 0 <= index < self.size:
+            raise self._out_of_range(index)
         self.reads += 1
         self.writes += 1
-        new = (int(self._cells[index]) + value) & self._mask
-        self._cells[index] = np.uint64(new)
+        cells = self._cells
+        new = cells[index] = (cells[index] + value) & self._mask
         return new
 
     def merge_min(self, index: int, value: int) -> int:
-        self._check_index(index)
+        if not 0 <= index < self.size:
+            raise self._out_of_range(index)
         self.reads += 1
         self.writes += 1
-        new = min(int(self._cells[index]), value & self._mask)
-        self._cells[index] = np.uint64(new)
+        cells = self._cells
+        new = cells[index] = min(cells[index], value & self._mask)
         return new
 
     def merge_max(self, index: int, value: int) -> int:
-        self._check_index(index)
+        if not 0 <= index < self.size:
+            raise self._out_of_range(index)
         self.reads += 1
         self.writes += 1
-        new = max(int(self._cells[index]), value & self._mask)
-        self._cells[index] = np.uint64(new)
+        cells = self._cells
+        new = cells[index] = max(cells[index], value & self._mask)
         return new
 
     # --- bulk operations (array MAU path) ------------------------------------
 
     def read_many(self, indices: list[int]) -> list[int]:
         for index in indices:
-            self._check_index(index)
+            if not 0 <= index < self.size:
+                raise self._out_of_range(index)
         self.reads += len(indices)
-        return [int(self._cells[i]) for i in indices]
+        cells = self._cells
+        return [cells[i] for i in indices]
 
     def add_many(self, indices: list[int], values: list[int]) -> list[int]:
-        """Element-wise wrapping adds; duplicate indices accumulate in order."""
+        """Element-wise wrapping adds; duplicate indices accumulate in order.
+
+        Indices are checked before any cell changes, so a bad index
+        leaves the array untouched.
+        """
         if len(indices) != len(values):
             raise TableError(
                 f"register {self.name!r}: {len(indices)} indices vs "
                 f"{len(values)} values"
             )
-        return [self.add(i, v) for i, v in zip(indices, values)]
+        if indices and (min(indices) < 0 or max(indices) >= self.size):
+            for index in indices:
+                if not 0 <= index < self.size:
+                    raise self._out_of_range(index)
+        mask = self._mask
+        cells = self._cells
+        results = []
+        for index, value in zip(indices, values):
+            new = cells[index] = (cells[index] + value) & mask
+            results.append(new)
+        self.reads += len(results)
+        self.writes += len(results)
+        return results
 
     def snapshot(self) -> np.ndarray:
-        """Copy of the raw cell contents."""
-        return self._cells.copy()
+        """Copy of the raw cell contents, as a ``uint64`` array."""
+        return np.frombuffer(self._cells, dtype=np.uint64).copy()
 
     def load(self, values: np.ndarray | list[int]) -> None:
         """Bulk-initialize cells (control-plane download)."""
-        array = np.asarray(values, dtype=np.uint64)
-        if array.shape != (self.size,):
+        values = np.asarray(values, dtype=np.uint64)
+        if values.shape != (self.size,):
             raise ConfigError(
                 f"register {self.name!r} expects {self.size} values, "
-                f"got shape {array.shape}"
+                f"got shape {values.shape}"
             )
-        self._cells = array & np.uint64(self._mask)
+        self._cells = array("Q", (values & np.uint64(self._mask)).tobytes())
 
     def reset(self) -> None:
-        self._cells.fill(0)
-
+        self._cells = array("Q", bytes(8 * self.size))
     @property
     def bits(self) -> int:
         """Total storage the array occupies."""

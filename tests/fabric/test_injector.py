@@ -38,7 +38,7 @@ def _fabric(sim, switches, host_switch, latency_s=1.0):
 def test_arrivals_precede_other_work_at_their_timestamp():
     """A priority-0 event scheduled before an arrival at the same time
     still runs after it: the injector re-arms at the reserved priority."""
-    sim = Simulator("heap")
+    sim = Simulator()
     log: list = []
     fabric = _fabric(sim, {"s": _Switch(log, "s")}, {0: "s"})
     ArrivalInjector(fabric, {0: [(0.5, _packet("a")), (1.0, _packet("b"))]})
@@ -48,7 +48,7 @@ def test_arrivals_precede_other_work_at_their_timestamp():
 
 
 def test_same_time_same_switch_arrivals_form_one_burst():
-    sim = Simulator("heap")
+    sim = Simulator()
     log: list = []
     switches = {"s": _Switch(log, "s"), "t": _Switch(log, "t")}
     fabric = _fabric(sim, switches, {0: "s", 1: "s", 2: "t", 3: "s"})
@@ -71,7 +71,7 @@ def test_same_time_same_switch_arrivals_form_one_burst():
 
 
 def test_traced_switch_takes_one_packet_per_event():
-    sim = Simulator("heap")
+    sim = Simulator()
     log: list = []
     switches = {"s": _Switch(log, "s", traced=True)}
     fabric = _fabric(sim, switches, {0: "s", 1: "s"})
@@ -83,7 +83,7 @@ def test_traced_switch_takes_one_packet_per_event():
 
 
 def test_departed_before_counts_departures_not_arrivals():
-    sim = Simulator("heap")
+    sim = Simulator()
     fabric = _fabric(sim, {"s": _Switch([], "s")}, {0: "s", 1: "s"})
     injector = ArrivalInjector(
         fabric,

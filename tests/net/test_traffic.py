@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigError
+from repro.net.headers import COFLOW_HEADER, coflow_header, standard_stack
 from repro.net.traffic import (
     DeterministicSource,
     PoissonSource,
@@ -32,6 +33,82 @@ class TestMakeCoflowPacket:
         assert header["opcode"] == 3
         assert header["element_count"] == 2
         assert packet.element_count == 2
+
+
+#: make_coflow_packet keyword that carries each coflow-header field
+#: (``element_count`` is the length of the element list).
+_FIELD_ARGS = {
+    "coflow_id": "coflow_id",
+    "flow_id": "flow_id",
+    "seq": "seq",
+    "opcode": "opcode",
+    "element_count": None,
+    "element_width_bytes": "element_width_bytes",
+    "worker_id": "worker_id",
+    "round": "round_",
+}
+
+
+def _packet_with(field, value):
+    kwargs = dict(coflow_id=1, flow_id=2, seq=3, elements=[(0, 0)])
+    if field == "element_count":
+        kwargs["elements"] = [(i, i) for i in range(value)]
+    else:
+        kwargs[_FIELD_ARGS[field]] = value
+    return make_coflow_packet(**kwargs)
+
+
+class TestCoflowPacketBuilder:
+    """The one-pass header builder matches the field-by-field reference."""
+
+    def test_plan_covers_every_coflow_field(self):
+        assert set(_FIELD_ARGS) == {f.name for f in COFLOW_HEADER.fields}
+
+    @pytest.mark.parametrize("spec", COFLOW_HEADER.fields, ids=lambda f: f.name)
+    def test_each_field_accepts_max_and_rejects_max_plus_one(self, spec):
+        packet = _packet_with(spec.name, spec.max_value)
+        assert packet.header("coflow")[spec.name] == spec.max_value
+        with pytest.raises(ConfigError, match=f"coflow.{spec.name} "):
+            _packet_with(spec.name, spec.max_value + 1)
+
+    def test_negative_value_rejected(self):
+        with pytest.raises(ConfigError, match="coflow.seq "):
+            make_coflow_packet(1, 2, -1, [(0, 0)])
+
+    def test_zero_element_width_rejected(self):
+        with pytest.raises(ConfigError, match="element width"):
+            make_coflow_packet(1, 2, 3, [(0, 0)], element_width_bytes=0)
+
+    def test_matches_reference_stack_field_for_field(self):
+        elements = [(5, 50), (6, 60), (7, 70)]
+        packet = make_coflow_packet(
+            9, 4, 11, elements, element_width_bytes=4, opcode=2,
+            worker_id=3, round_=6, src_ip=0x0A000001, dst_ip=0x0A000002,
+        )
+        reference = standard_stack(src_ip=0x0A000001, dst_ip=0x0A000002)
+        reference.append(
+            coflow_header(9, 4, seq=11, opcode=2, element_count=3,
+                          element_width_bytes=4, worker_id=3, round_=6)
+        )
+        assert packet.headers == reference
+        for built, expected in zip(packet.headers, reference):
+            assert dict(built.items()) == dict(expected.items())
+            assert list(built.items()) == list(expected.items())
+        assert [(e.key, e.value) for e in packet.payload] == elements
+        assert packet.payload.element_width_bytes == 4
+
+    def test_headers_are_copied_never_aliased(self):
+        first = make_coflow_packet(1, 0, 0, [(0, 0)])
+        second = make_coflow_packet(1, 0, 1, [(0, 0)])
+        template = standard_stack()
+        for name, field in (
+            ("ethernet", "dst_mac"), ("ipv4", "ttl"), ("udp", "src_port"),
+        ):
+            first.header(name)[field] = 7
+            assert second.header(name)[field] != 7
+            assert first.header(name) is not second.header(name)
+        third = make_coflow_packet(1, 0, 2, [(0, 0)])
+        assert third.headers[:3] == template
 
 
 class TestDeterministicSource:

@@ -31,17 +31,6 @@ class TestDeterminism:
     def test_ledger_identical_across_repeats(self):
         assert _ledger_bytes(seed=2) == _ledger_bytes(seed=2)
 
-    def test_ledger_identical_across_queue_backends(self):
-        heap = _ledger_bytes(queue_backend="heap")
-        calendar = _ledger_bytes(queue_backend="calendar")
-        auto = _ledger_bytes(queue_backend="auto")
-        assert heap == calendar == auto
-
-    def test_rmt_ledger_identical_across_queue_backends(self):
-        assert _ledger_bytes(
-            target="rmt", queue_backend="heap"
-        ) == _ledger_bytes(target="rmt", queue_backend="calendar")
-
     def test_seeds_produce_different_ledgers(self):
         assert _ledger_bytes(seed=0) != _ledger_bytes(seed=1)
 

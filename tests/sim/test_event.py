@@ -5,59 +5,63 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.event import EventQueue, Simulator
+from repro.sim.event import Simulator
 
 
 class TestEventQueue:
     def test_pop_returns_earliest(self):
-        q = EventQueue()
+        sim = Simulator()
         order = []
-        q.push(2.0, lambda: order.append("b"))
-        q.push(1.0, lambda: order.append("a"))
-        first = q.pop()
-        assert first is not None and first.time == 1.0
+        sim.at(2.0, lambda: order.append("b"))
+        sim.at(1.0, lambda: order.append("a"))
+        assert sim.step() is True
+        assert order == ["a"] and sim.now == 1.0
 
     def test_fifo_tiebreak_at_equal_time(self):
-        q = EventQueue()
-        q.push(1.0, lambda: "first")
-        q.push(1.0, lambda: "second")
-        a = q.pop()
-        b = q.pop()
-        assert a is not None and b is not None
-        assert a.sequence < b.sequence
+        sim = Simulator()
+        order = []
+        first = sim.at(1.0, lambda: order.append("first"))
+        second = sim.at(1.0, lambda: order.append("second"))
+        assert first < second
+        sim.run()
+        assert order == ["first", "second"]
 
     def test_priority_orders_within_time(self):
-        q = EventQueue()
-        q.push(1.0, lambda: None, priority=5)
-        high = q.push(1.0, lambda: None, priority=1)
-        assert q.pop() is high
+        sim = Simulator()
+        order = []
+        sim.at(1.0, lambda: order.append("low"), priority=5)
+        sim.at(1.0, lambda: order.append("high"), priority=1)
+        sim.step()
+        assert order == ["high"]
 
     def test_cancelled_events_skipped(self):
-        q = EventQueue()
-        event = q.push(1.0, lambda: None)
-        q.push(2.0, lambda: None)
-        event.cancel()
-        popped = q.pop()
-        assert popped is not None and popped.time == 2.0
+        sim = Simulator()
+        fired = []
+        handle = sim.at(1.0, lambda: fired.append(1.0))
+        sim.at(2.0, lambda: fired.append(2.0))
+        assert sim.cancel(handle) is True
+        assert sim.run() == 1
+        assert fired == [2.0]
 
     def test_len_excludes_cancelled(self):
-        q = EventQueue()
-        event = q.push(1.0, lambda: None)
-        q.push(2.0, lambda: None)
-        assert len(q) == 2
-        event.cancel()
-        assert len(q) == 1
+        sim = Simulator()
+        handle = sim.at(1.0, lambda: None)
+        sim.at(2.0, lambda: None)
+        assert len(sim.queue) == 2
+        sim.cancel(handle)
+        assert len(sim.queue) == 1
 
     def test_peek_time_skips_cancelled(self):
-        q = EventQueue()
-        event = q.push(1.0, lambda: None)
-        q.push(3.0, lambda: None)
-        event.cancel()
-        assert q.peek_time() == 3.0
+        sim = Simulator()
+        handle = sim.at(1.0, lambda: None)
+        sim.at(3.0, lambda: None)
+        sim.cancel(handle)
+        assert sim.peek_time() == 3.0
 
     def test_peek_empty_returns_none(self):
-        assert EventQueue().peek_time() is None
-        assert EventQueue().pop() is None
+        sim = Simulator()
+        assert sim.peek_time() is None
+        assert sim.step() is False
 
 
 class TestSimulator:

@@ -1,12 +1,13 @@
-"""Differential equivalence of the event-queue backends.
+"""Differential equivalence of the kernel's dispatch loops.
 
-The kernel's correctness claim is total: every backend dispatches the
-identical ``(time, priority, sequence)`` order, so swapping backends can
-never change a simulation result — only its wall-clock speed.  These
-tests drive randomly generated schedules through the ``heap`` and
-``calendar`` backends side by side (Hypothesis shrinks failures to
-minimal schedules) and require bit-identical dispatch sequences, final
-clocks, and event counts.
+The kernel has one queue and two dispatch loops: the fast loop every
+uninstrumented run takes, and the instrumented reference loop that
+honours traces, opaque time probes and ``max_events``.  The kernel's
+correctness claim is that the two are observation-equivalent: the same
+dispatch order, the same clock readings, the same probe crossings.
+These tests drive randomly generated schedules through both loops
+(Hypothesis shrinks failures to minimal schedules) and require
+identical observable logs.
 
 The op language covers the full scheduling surface: absolute scheduling
 (``at``), relative scheduling (``after``), priorities (including ties),
@@ -16,20 +17,13 @@ inside their own dispatch, and bounded drains (``until``).
 
 from __future__ import annotations
 
-import math
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.event import (
-    CALENDAR_BOOTSTRAP_PUSHES,
-    CalendarQueue,
-    EventQueue,
-    Simulator,
-)
+from repro.sim.event import Simulator
 
-# Times are drawn from a small grid so equal-time ties (the hardest case
-# for a bucketed queue) are common rather than astronomically rare.
+# Times are drawn from a small grid so equal-time ties are common rather
+# than astronomically rare.
 _TIMES = st.integers(0, 40).map(lambda t: t * 0.25)
 _PRIORITIES = st.integers(-2, 2)
 
@@ -58,15 +52,16 @@ def schedules(draw):
     return ops, until
 
 
-def _run_schedule(ops, until, backend):
+def _run_schedule(ops, until, force_instrumented=False):
     """Apply a schedule to a fresh Simulator; return its observable log.
 
     The log records every dispatch as ``(tag, now)`` — ``tag`` is the
-    schedule position that created the event, so two backends agree iff
+    schedule position that created the event, so two runs agree iff
     they fired the same events at the same clock readings in the same
-    order.
+    order.  ``force_instrumented=True`` routes the schedule through the
+    reference loop via ``max_events``.
     """
-    sim = Simulator(queue_backend=backend)
+    sim = Simulator()
     log: list[tuple[str, float]] = []
     handles: list = []
 
@@ -83,7 +78,7 @@ def _run_schedule(ops, until, backend):
     for index, op in enumerate(ops):
         if op[0] == "cancel":
             if handles:
-                handles[op[1] % len(handles)].cancel()
+                sim.cancel(handles[op[1] % len(handles)])
             continue
         kind, value, priority, nested = op
         action = make_action(f"op{index}", nested)
@@ -92,134 +87,21 @@ def _run_schedule(ops, until, backend):
         else:
             handles.append(sim.after(value, action, priority))
 
-    dispatched = sim.run(until=until)
-    return log, sim.now, dispatched, sim.events_dispatched
+    if force_instrumented:
+        dispatched = sim.run(until=until, max_events=1 << 60)
+    else:
+        dispatched = sim.run(until=until)
+    return log, sim.now, dispatched, sim.events_dispatched, len(sim.queue)
 
 
-class TestBackendEquivalence:
+class TestFastPathEquivalence:
     @settings(max_examples=200, deadline=None)
     @given(schedules())
-    def test_heap_and_calendar_dispatch_identically(self, schedule):
+    def test_fast_matches_instrumented(self, schedule):
         ops, until = schedule
-        heap_run = _run_schedule(ops, until, "heap")
-        calendar_run = _run_schedule(ops, until, "calendar")
-        assert heap_run == calendar_run
-
-    @settings(max_examples=100, deadline=None)
-    @given(schedules())
-    def test_auto_matches_heap(self, schedule):
-        ops, until = schedule
-        assert _run_schedule(ops, until, "heap") == _run_schedule(
-            ops, until, "auto"
+        assert _run_schedule(ops, until) == _run_schedule(
+            ops, until, force_instrumented=True
         )
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(_TIMES, _PRIORITIES), min_size=1, max_size=200
-        )
-    )
-    def test_queue_drain_order_matches(self, pushes):
-        """Raw queue-level check: identical pop order, including beyond
-        the calendar's heap-mode bootstrap threshold."""
-        heap_q = EventQueue()
-        cal_q = CalendarQueue()
-        for time, priority in pushes:
-            heap_q.push(time, lambda: None, priority)
-            cal_q.push(time, lambda: None, priority)
-        while True:
-            a = heap_q.pop()
-            b = cal_q.pop()
-            if a is None or b is None:
-                assert a is None and b is None
-                break
-            assert (a.time, a.priority, a.sequence) == (
-                b.time,
-                b.priority,
-                b.sequence,
-            )
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        st.lists(st.tuples(_TIMES, _PRIORITIES), min_size=1, max_size=120),
-        st.data(),
-    )
-    def test_drain_order_matches_under_cancellation(self, pushes, data):
-        heap_q = EventQueue()
-        cal_q = CalendarQueue()
-        heap_events = []
-        cal_events = []
-        for time, priority in pushes:
-            heap_events.append(heap_q.push(time, lambda: None, priority))
-            cal_events.append(cal_q.push(time, lambda: None, priority))
-        to_cancel = data.draw(
-            st.lists(
-                st.integers(0, len(pushes) - 1), max_size=len(pushes)
-            )
-        )
-        for index in set(to_cancel):
-            heap_events[index].cancel()
-            cal_events[index].cancel()
-        assert len(heap_q) == len(cal_q)
-        while True:
-            a = heap_q.pop()
-            b = cal_q.pop()
-            if a is None or b is None:
-                assert a is None and b is None
-                break
-            assert (a.time, a.priority, a.sequence) == (
-                b.time,
-                b.priority,
-                b.sequence,
-            )
-
-
-class TestCalendarInternals:
-    def test_bootstrap_crossing_preserves_order(self):
-        """Pushes straddling the heap-to-buckets migration keep order."""
-        cal_q = CalendarQueue()
-        heap_q = EventQueue()
-        total = CALENDAR_BOOTSTRAP_PUSHES * 3
-        for i in range(total):
-            time = float((i * 7919) % 97)  # scrambled, many duplicates
-            cal_q.push(time, lambda: None)
-            heap_q.push(time, lambda: None)
-        order_cal = []
-        order_heap = []
-        while (event := cal_q.pop()) is not None:
-            order_cal.append((event.time, event.sequence))
-        while (event := heap_q.pop()) is not None:
-            order_heap.append((event.time, event.sequence))
-        assert order_cal == order_heap
-
-    def test_interleaved_push_pop_across_years(self):
-        """Popping while pushing ever-later times forces year re-basing;
-        order must stay exact throughout."""
-        cal_q = CalendarQueue()
-        heap_q = EventQueue()
-        popped_cal = []
-        popped_heap = []
-        time = 0.0
-        for round_ in range(40):
-            for i in range(16):
-                time += 0.5 + (i % 3)
-                cal_q.push(time, lambda: None)
-                heap_q.push(time, lambda: None)
-            for _ in range(10):
-                a = cal_q.pop()
-                b = heap_q.pop()
-                assert (a is None) == (b is None)
-                if a is not None:
-                    popped_cal.append((a.time, a.sequence))
-                    popped_heap.append((b.time, b.sequence))
-        assert popped_cal == popped_heap
-
-    def test_simulator_reports_selected_backend(self):
-        assert Simulator(queue_backend="heap").queue.backend == "heap"
-        assert Simulator(queue_backend="calendar").queue.backend in (
-            "calendar",
-        )
-        assert not math.isnan(Simulator(queue_backend="auto").now)
 
 
 class GridProbe:
@@ -250,9 +132,7 @@ class GridProbe:
             self.index += 1
 
 
-def _run_probed_schedule(
-    ops, until, backend, widths, force_instrumented=False
-):
+def _run_probed_schedule(ops, until, widths, force_instrumented=False):
     """Like ``_run_schedule`` but with grid probes attached.
 
     Returns everything observable: the dispatch log, each probe's
@@ -260,7 +140,7 @@ def _run_probed_schedule(
     dispatch count.  ``force_instrumented=True`` routes the identical
     schedule through the reference loop via ``max_events``.
     """
-    sim = Simulator(queue_backend=backend)
+    sim = Simulator()
     log: list[tuple[str, float]] = []
     probes = [GridProbe(w, sample=lambda: len(log)) for w in widths]
     for probe in probes:
@@ -280,7 +160,7 @@ def _run_probed_schedule(
     for index, op in enumerate(ops):
         if op[0] == "cancel":
             if handles:
-                handles[op[1] % len(handles)].cancel()
+                sim.cancel(handles[op[1] % len(handles)])
             continue
         kind, value, priority, nested = op
         action = make_action(f"op{index}", nested)
@@ -316,9 +196,9 @@ class TestProbedFastPathEquivalence:
     @given(schedules(), _WIDTHS)
     def test_probed_fast_matches_instrumented(self, schedule, width):
         ops, until = schedule
-        fast, fast_calls = _run_probed_schedule(ops, until, "heap", [width])
+        fast, fast_calls = _run_probed_schedule(ops, until, [width])
         ref, ref_calls = _run_probed_schedule(
-            ops, until, "heap", [width], force_instrumented=True
+            ops, until, [width], force_instrumented=True
         )
         assert fast == ref
         # Between boundaries the fast path never fires the probe; the
@@ -326,21 +206,13 @@ class TestProbedFastPathEquivalence:
         assert fast_calls <= ref_calls
 
     @settings(max_examples=100, deadline=None)
-    @given(schedules(), _WIDTHS)
-    def test_probed_backends_agree(self, schedule, width):
-        ops, until = schedule
-        heap, _ = _run_probed_schedule(ops, until, "heap", [width])
-        calendar, _ = _run_probed_schedule(ops, until, "calendar", [width])
-        assert heap == calendar
-
-    @settings(max_examples=100, deadline=None)
     @given(schedules(), _WIDTHS, _WIDTHS)
     def test_chained_probes_match_instrumented(self, schedule, w1, w2):
         """Two grid probes chain; the dispatcher tracks the min deadline."""
         ops, until = schedule
-        fast, _ = _run_probed_schedule(ops, until, "heap", [w1, w2])
+        fast, _ = _run_probed_schedule(ops, until, [w1, w2])
         ref, _ = _run_probed_schedule(
-            ops, until, "heap", [w1, w2], force_instrumented=True
+            ops, until, [w1, w2], force_instrumented=True
         )
         assert fast == ref
 
@@ -348,9 +220,9 @@ class TestProbedFastPathEquivalence:
         """A dense run with one wide window: the fast path fires the
         probe only at crossings, the reference at every advance."""
         ops = [("at", i * 0.25, 0, []) for i in range(40)]
-        fast, fast_calls = _run_probed_schedule(ops, None, "heap", [2.0])
+        fast, fast_calls = _run_probed_schedule(ops, None, [2.0])
         ref, ref_calls = _run_probed_schedule(
-            ops, None, "heap", [2.0], force_instrumented=True
+            ops, None, [2.0], force_instrumented=True
         )
         assert fast == ref
         assert fast_calls < ref_calls
@@ -360,7 +232,7 @@ class TestProbedFastPathEquivalence:
         crossing's dispatch count excludes it (window semantics)."""
         ops = [("at", 0.5, 0, []), ("at", 1.0, 0, []), ("at", 1.5, 0, [])]
         (log, crossings, now, dispatched), _ = _run_probed_schedule(
-            ops, None, "heap", [1.0]
+            ops, None, [1.0]
         )
         assert dispatched == 3 and now == 1.5
         # One crossing (at 1.0), having seen only the 0.5 dispatch.
@@ -370,9 +242,9 @@ class TestProbedFastPathEquivalence:
         """Draining to a bound past the last event still probes the
         bound when later events remain queued (matching the reference)."""
         ops = [("at", 0.25, 0, []), ("at", 9.0, 0, [])]
-        fast, _ = _run_probed_schedule(ops, 5.0, "heap", [1.0])
+        fast, _ = _run_probed_schedule(ops, 5.0, [1.0])
         ref, _ = _run_probed_schedule(
-            ops, 5.0, "heap", [1.0], force_instrumented=True
+            ops, 5.0, [1.0], force_instrumented=True
         )
         assert fast == ref
         log, crossings, now, dispatched = fast
@@ -390,7 +262,7 @@ class TestProbedFastPathEquivalence:
             def __call__(self, new_time_s: float) -> None:
                 pass
 
-        sim = Simulator(queue_backend="heap")
+        sim = Simulator()
         sim.add_time_probe(Stuck())
         sim.at(2.0, lambda: None)
         try:
@@ -404,14 +276,14 @@ class TestProbedFastPathEquivalence:
         """A probe lacking ``next_deadline_s`` keeps the reference loop
         (deadline None), and chaining it after a grid probe demotes the
         whole chain."""
-        sim = Simulator(queue_backend="heap")
+        sim = Simulator()
         sim.add_time_probe(GridProbe(1.0))
         assert sim._probe_deadline() == 1.0
         sim.add_time_probe(lambda t: None)
         assert sim._probe_deadline() is None
 
     def test_directly_assigned_probe_disables_fast_path(self):
-        sim = Simulator(queue_backend="heap")
+        sim = Simulator()
         sim.time_probe = GridProbe(1.0)
         assert sim._probe_deadline() is None
 
@@ -423,9 +295,7 @@ class TestProbedFastPathEquivalence:
 # bit-identical to the fully-instrumented ``full`` run in everything the
 # simulation computes (dispatch order, packet ids modulo the process-
 # global offset, terminal counters, the final clock), while keeping the
-# ``trace is None`` fast path the instrumented run forfeits.  And the
-# head-based span sampler must pick the same packets on every queue
-# backend, since its decision predates the kernel entirely.
+# ``trace is None`` fast path the instrumented run forfeits.
 
 _LEVEL_WORKERS = st.lists(
     st.integers(0, 7), min_size=2, max_size=4, unique=True
@@ -434,7 +304,7 @@ _LEVEL_ELEMENTS = st.sampled_from([8, 16, 32])
 _LEVEL_SAMPLES = st.sampled_from([1, 2, 4, 16])
 
 
-def _run_at_level(level, workers, elements, sample, backend="heap"):
+def _run_at_level(level, workers, elements, sample):
     """One RMT run at a telemetry level; returns its observable digest."""
     from repro.apps import ParameterServerApp
     from repro.rmt.config import RMTConfig
@@ -449,7 +319,7 @@ def _run_at_level(level, workers, elements, sample, backend="heap"):
     )
     app = ParameterServerApp(sorted(workers), elements, elements_per_packet=1)
     switch = RMTSwitch(
-        config, app, telemetry=telemetry, sim=Simulator(backend)
+        config, app, telemetry=telemetry, sim=Simulator()
     )
     result = switch.run(app.workload(config.port_speed_bps))
     base = min(p.packet_id for p in result.delivered)
@@ -495,30 +365,6 @@ class TestTelemetryLevelEquivalence:
                 assert fast_switch._sim.events_coalesced > 0
                 assert full_switch._sim.events_coalesced == 0
 
-    @settings(max_examples=10, deadline=None)
-    @given(_LEVEL_WORKERS, _LEVEL_ELEMENTS, _LEVEL_SAMPLES)
-    def test_sampling_identical_across_backends(
-        self, workers, elements, sample
-    ):
-        """The span sampler's decisions — and every record they produce —
-        are byte-identical on heap, calendar, and auto backends."""
-        runs = {}
-        for backend in ("heap", "calendar", "auto"):
-            digest, _, telemetry = _run_at_level(
-                "sampled", workers, elements, sample, backend=backend
-            )
-            spans = telemetry.spans
-            runs[backend] = (
-                digest,
-                spans.sampler.offered,
-                spans.sampler.admitted,
-                [
-                    (r.span, r.packet, r.switch, r.hop, r.start_s, r.end_s)
-                    for r in spans.records
-                ],
-            )
-        assert runs["heap"] == runs["calendar"] == runs["auto"]
-
     def test_sampled_records_cover_only_sampled_subset(self):
         """Every record belongs to an admitted span; sample=1 records
         every packet (coverage 1.0)."""
@@ -530,14 +376,10 @@ class TestTelemetryLevelEquivalence:
         assert len(sampled_ids) == subset.spans.sampler.admitted
 
 
-def _stateful_ledger(backend, level=None):
-    """One single-switch stateful run pinned to ``backend``.
-
-    Returns the canonical ledger text (git_sha pinned) — the artifact
-    the backend-equivalence contract promises is byte-identical.
-    """
+def _stateful_ledger(level=None):
+    """One single-switch stateful run's canonical ledger text (git_sha
+    pinned), optionally observed at a telemetry ``level``."""
     import json
-    import os
 
     from repro.stateful.runner import run_stateful
 
@@ -548,40 +390,26 @@ def _stateful_ledger(backend, level=None):
         def make_telemetry():
             return Telemetry.at_level(level, seed=0, sample=4)
 
-    previous = os.environ.get("REPRO_QUEUE_BACKEND")
-    os.environ["REPRO_QUEUE_BACKEND"] = backend
-    try:
-        run = run_stateful(
-            "synflood",
-            flows=32,
-            packets=160,
-            seed=3,
-            make_telemetry=make_telemetry,
-        )
-    finally:
-        if previous is None:
-            del os.environ["REPRO_QUEUE_BACKEND"]
-        else:
-            os.environ["REPRO_QUEUE_BACKEND"] = previous
+    run = run_stateful(
+        "synflood",
+        flows=32,
+        packets=160,
+        seed=3,
+        make_telemetry=make_telemetry,
+    )
     ledger = run.ledger()
     ledger["git_sha"] = "pinned"
     return json.dumps(ledger, sort_keys=True)
 
 
 class TestStatefulLedgerEquivalence:
-    """Stateful ledgers are part of the backend-equivalence contract."""
-
-    def test_backends_emit_identical_stateful_ledgers(self):
-        heap = _stateful_ledger("heap")
-        calendar = _stateful_ledger("calendar")
-        auto = _stateful_ledger("auto")
-        assert heap == calendar == auto
+    """Stateful ledgers do not depend on the dispatch loop."""
 
     def test_fast_dispatch_matches_instrumented(self):
         """Full telemetry (instrumented loop, tracing on) and the fast
         counters level produce byte-identical stateful ledgers: the
         observability level must never perturb the simulated work."""
-        instrumented = _stateful_ledger("heap", level="full")
-        fast = _stateful_ledger("heap", level="counters")
-        bare = _stateful_ledger("heap")
+        instrumented = _stateful_ledger(level="full")
+        fast = _stateful_ledger(level="counters")
+        bare = _stateful_ledger()
         assert instrumented == fast == bare

@@ -1,66 +1,73 @@
 """Property tests for the event-kernel scheduling contract.
 
-These pin the invariants every queue backend must honour (and that the
-switch models rely on for reproducibility):
+These pin the invariants the switch models rely on for
+reproducibility:
 
 - FIFO tie-breaking: events at equal ``(time, priority)`` dispatch in
   schedule order — the property batched admission leans on;
 - the simulated clock never runs backwards during a drain;
-- ``len()`` tracks live (non-cancelled) events exactly, under lazy
-  cancellation, in O(1);
-- ``peek_time`` never resurrects a cancelled event.
+- ``len(sim.queue)`` counts exactly the events still to fire, under
+  cancellation;
+- cancelling is idempotent, and a cancelled event is never peeked at
+  or dispatched.
 """
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.event import CalendarQueue, EventQueue, Simulator
-
-BACKENDS = ["heap", "calendar"]
+from repro.sim.event import Simulator
 
 
-def _queue(backend):
-    return EventQueue() if backend == "heap" else CalendarQueue()
+def _recorder(sim, fired, tag):
+    """An action that logs ``(tag, now)`` when it fires."""
+    return lambda: fired.append((tag, sim.now))
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestFifoTieBreaking:
-    def test_equal_time_equal_priority_pops_in_push_order(self, backend):
-        queue = _queue(backend)
-        events = [queue.push(1.0, lambda: None, priority=3) for _ in range(50)]
-        popped = []
-        while (event := queue.pop()) is not None:
-            popped.append(event)
-        assert popped == events
+    def test_equal_time_equal_priority_pops_in_push_order(self):
+        sim = Simulator()
+        fired = []
+        handles = [
+            sim.at(1.0, _recorder(sim, fired, i), priority=3)
+            for i in range(50)
+        ]
+        assert handles == sorted(handles)
+        sim.run()
+        assert [tag for tag, _ in fired] == list(range(50))
 
-    def test_priority_beats_sequence_within_a_time(self, backend):
-        queue = _queue(backend)
-        late_low = queue.push(2.0, lambda: None, priority=0)
-        first_high = queue.push(1.0, lambda: None, priority=1)
-        second_low = queue.push(1.0, lambda: None, priority=0)
-        assert queue.pop() is second_low  # lower priority value first
-        assert queue.pop() is first_high
-        assert queue.pop() is late_low
+    def test_priority_beats_sequence_within_a_time(self):
+        sim = Simulator()
+        fired = []
+        sim.at(2.0, _recorder(sim, fired, "late_low"), priority=0)
+        sim.at(1.0, _recorder(sim, fired, "first_high"), priority=1)
+        sim.at(1.0, _recorder(sim, fired, "second_low"), priority=0)
+        sim.run()
+        # Lower priority value first within a time.
+        assert [tag for tag, _ in fired] == [
+            "second_low", "first_high", "late_low"
+        ]
 
     @settings(max_examples=100, deadline=None)
-    @given(times=st.lists(st.sampled_from([0.0, 1.0, 2.5]), min_size=1,
-                          max_size=64))
-    def test_equal_keys_keep_schedule_order(self, backend, times):
-        queue = _queue(backend)
-        for time in times:
-            queue.push(time, lambda: None)
-        last_key = None
-        while (event := queue.pop()) is not None:
-            key = (event.time, event.priority, event.sequence)
-            if last_key is not None:
-                assert key > last_key
-            last_key = key
+    @given(
+        entries=st.lists(
+            st.tuples(st.sampled_from([0.0, 1.0, 2.5]), st.integers(-1, 1)),
+            min_size=1,
+            max_size=64,
+        )
+    )
+    def test_equal_keys_keep_schedule_order(self, entries):
+        sim = Simulator()
+        fired = []
+        keys = [
+            (time, priority, sim.at(time, lambda i=i: fired.append(i), priority))
+            for i, (time, priority) in enumerate(entries)
+        ]
+        sim.run()
+        assert [keys[i] for i in fired] == sorted(keys)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestMonotonicClock:
     @settings(max_examples=100, deadline=None)
     @given(
@@ -70,8 +77,8 @@ class TestMonotonicClock:
             max_size=40,
         )
     )
-    def test_now_never_decreases(self, backend, delays):
-        sim = Simulator(queue_backend=backend)
+    def test_now_never_decreases(self, delays):
+        sim = Simulator()
         observed = []
 
         def record():
@@ -84,8 +91,8 @@ class TestMonotonicClock:
         sim.run(max_events=500)
         assert observed == sorted(observed)
 
-    def test_until_bound_is_inclusive_and_advances_clock(self, backend):
-        sim = Simulator(queue_backend=backend)
+    def test_until_bound_is_inclusive_and_advances_clock(self):
+        sim = Simulator()
         fired = []
         sim.at(1.0, lambda: fired.append(1.0))
         sim.at(2.0, lambda: fired.append(2.0))
@@ -98,107 +105,109 @@ class TestMonotonicClock:
         assert sim.now == 3.0
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-class TestLiveCountUnderLazyCancellation:
+class TestLiveCountUnderCancellation:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
-    def test_len_tracks_live_events_exactly(self, backend, data):
-        queue = _queue(backend)
-        events = []
-        expected_live = 0
+    def test_len_tracks_live_events_exactly(self, data):
+        sim = Simulator()
+        keys = []  # (time, handle) per scheduled event, by index
+        pending = set()
+        fired = []
         ops = data.draw(
             st.lists(st.sampled_from(["push", "cancel", "pop"]),
                      min_size=1, max_size=80)
         )
         for step, op in enumerate(ops):
             if op == "push":
-                events.append(queue.push(float(step % 7), lambda: None))
-                expected_live += 1
-            elif op == "cancel" and events:
+                index = len(keys)
+                time = float(step % 7)
+                handle = sim.at(
+                    max(time, sim.now), lambda i=index: fired.append(i)
+                )
+                keys.append((max(time, sim.now), handle))
+                pending.add(index)
+            elif op == "cancel" and keys:
                 index = data.draw(
-                    st.integers(0, len(events) - 1), label="cancel_index"
+                    st.integers(0, len(keys) - 1), label="cancel_index"
                 )
-                event = events[index]
-                was_live = (
-                    not event.cancelled and event._queue is not None
-                )
-                event.cancel()
-                if was_live:
-                    expected_live -= 1
+                assert sim.cancel(keys[index][1]) is (index in pending)
+                pending.discard(index)
             elif op == "pop":
-                event = queue.pop()
-                if event is not None:
-                    expected_live -= 1
-                    assert not event.cancelled
-            assert len(queue) == expected_live
+                if sim.step():
+                    # Exactly one event fired: the earliest pending one.
+                    assert fired[-1] == min(pending, key=keys.__getitem__)
+                    pending.remove(fired[-1])
+                else:
+                    assert not pending
+            assert len(sim.queue) == len(pending)
         # Drain: exactly the live events remain.
-        drained = 0
-        while queue.pop() is not None:
-            drained += 1
-        assert drained == expected_live
-        assert len(queue) == 0
+        assert sim.run() == len(pending)
+        assert len(sim.queue) == 0
 
-    def test_cancel_is_idempotent(self, backend):
-        queue = _queue(backend)
-        event = queue.push(1.0, lambda: None)
-        queue.push(2.0, lambda: None)
-        event.cancel()
-        event.cancel()
-        event.cancel()
-        assert len(queue) == 1
+    def test_cancel_is_idempotent(self):
+        sim = Simulator()
+        handle = sim.at(1.0, lambda: None)
+        sim.at(2.0, lambda: None)
+        assert sim.cancel(handle) is True
+        assert sim.cancel(handle) is False
+        assert sim.cancel(handle) is False
+        assert len(sim.queue) == 1
 
-    def test_cancel_after_pop_does_not_corrupt_count(self, backend):
-        queue = _queue(backend)
-        event = queue.push(1.0, lambda: None)
-        queue.push(2.0, lambda: None)
-        popped = queue.pop()
-        assert popped is event
-        event.cancel()  # stale handle; the queue already released it
-        assert len(queue) == 1
-        assert queue.pop() is not None
-        assert len(queue) == 0
+    def test_cancel_after_pop_does_not_corrupt_count(self):
+        sim = Simulator()
+        fired = []
+        handle = sim.at(1.0, lambda: fired.append("first"))
+        sim.at(2.0, lambda: fired.append("second"))
+        assert sim.step() and fired == ["first"]
+        # Stale handle: the event already fired.
+        assert sim.cancel(handle) is False
+        assert len(sim.queue) == 1
+        assert sim.step()
+        assert len(sim.queue) == 0
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestPeekNeverResurrects:
-    def test_peek_skips_cancelled_head(self, backend):
-        queue = _queue(backend)
-        head = queue.push(1.0, lambda: None)
-        queue.push(5.0, lambda: None)
-        head.cancel()
-        assert queue.peek_time() == 5.0
-        popped = queue.pop()
-        assert popped is not None and popped.time == 5.0
+    def test_peek_skips_cancelled_head(self):
+        sim = Simulator()
+        fired = []
+        head = sim.at(1.0, lambda: fired.append(1.0))
+        sim.at(5.0, lambda: fired.append(5.0))
+        sim.cancel(head)
+        assert sim.peek_time() == 5.0
+        assert sim.step() and fired == [5.0]
 
-    def test_peek_on_fully_cancelled_queue_is_none(self, backend):
-        queue = _queue(backend)
-        events = [queue.push(float(i), lambda: None) for i in range(10)]
-        for event in events:
-            event.cancel()
-        assert queue.peek_time() is None
-        assert queue.pop() is None
-        assert len(queue) == 0
+    def test_peek_on_fully_cancelled_queue_is_none(self):
+        sim = Simulator()
+        handles = [sim.at(float(i), lambda: None) for i in range(10)]
+        for handle in handles:
+            sim.cancel(handle)
+        assert sim.peek_time() is None
+        assert sim.step() is False
+        assert len(sim.queue) == 0
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
-    def test_peek_always_matches_next_pop(self, backend, data):
-        queue = _queue(backend)
-        events = []
+    def test_peek_always_matches_next_pop(self, data):
+        sim = Simulator()
+        fired = []
         times = data.draw(
             st.lists(st.sampled_from([0.0, 0.5, 1.0, 7.25]),
                      min_size=1, max_size=60)
         )
-        for time in times:
-            events.append(queue.push(time, lambda: None))
-        for index in data.draw(
-            st.lists(st.integers(0, len(events) - 1), max_size=30)
-        ):
-            events[index].cancel()
+        handles = [
+            sim.at(time, lambda i=i: fired.append(i))
+            for i, time in enumerate(times)
+        ]
+        cancelled = set(
+            data.draw(st.lists(st.integers(0, len(handles) - 1), max_size=30))
+        )
+        for index in cancelled:
+            sim.cancel(handles[index])
         while True:
-            peeked = queue.peek_time()
-            popped = queue.pop()
-            if popped is None:
+            peeked = sim.peek_time()
+            if not sim.step():
                 assert peeked is None
                 break
-            assert peeked == popped.time
-            assert not popped.cancelled
+            assert peeked == sim.now == times[fired[-1]]
+            assert fired[-1] not in cancelled
+        assert len(fired) == len(times) - len(cancelled)

@@ -2,8 +2,7 @@
 
 The determinism contract mirrors the fabric/serve ledgers: one seed →
 one byte-identical ``repro.stateful_ledger/1`` artifact (modulo
-``git_sha``), whatever the queue backend; a different seed moves the
-draws.  The compile section must carry the §3.2 divergence on every
+``git_sha``); a different seed moves the draws.  The compile section must carry the §3.2 divergence on every
 run.
 """
 

@@ -141,3 +141,114 @@ class TestProperties:
         for value in values:
             reg.merge_max(0, value)
         assert reg.read(0) == max(values)
+
+
+class _Reference:
+    """A numpy ``uint64`` model of a register array: the representation
+    the cells used to live in, with the same masking and wrap rules."""
+
+    def __init__(self, size, width_bits):
+        self.mask = (1 << width_bits) - 1
+        self.cells = np.zeros(size, dtype=np.uint64)
+
+    def _store(self, index, value):
+        self.cells[index] = np.uint64(value & self.mask)
+        return int(self.cells[index])
+
+    def write(self, index, value):
+        return self._store(index, value)
+
+    def add(self, index, value):
+        return self._store(index, int(self.cells[index]) + value)
+
+    def merge_min(self, index, value):
+        return self._store(index, min(int(self.cells[index]), value & self.mask))
+
+    def merge_max(self, index, value):
+        return self._store(index, max(int(self.cells[index]), value & self.mask))
+
+
+_WIDTHS = st.sampled_from([1, 32, 63, 64])
+_VALUES = st.integers(min_value=-(2**64), max_value=2**65)
+_OPS = st.sampled_from(["write", "add", "merge_min", "merge_max"])
+
+
+class TestAgainstNumpyReference:
+    @given(
+        width=_WIDTHS,
+        ops=st.lists(
+            st.tuples(_OPS, st.integers(0, 3), _VALUES), min_size=1, max_size=40
+        ),
+    )
+    def test_single_cell_ops_match(self, width, ops):
+        reg = RegisterArray("r", 4, width_bits=width)
+        ref = _Reference(4, width)
+        for op, index, value in ops:
+            got = getattr(reg, op)(index, value)
+            assert got == getattr(ref, op)(index, value)
+            assert type(got) is int
+            assert reg.read(index) == int(ref.cells[index])
+        assert reg.snapshot().tolist() == ref.cells.tolist()
+
+    @given(
+        width=_WIDTHS,
+        pairs=st.lists(
+            st.tuples(st.integers(0, 2), st.integers(0, 2**64 - 1)),
+            min_size=1,
+            max_size=30,
+        ),
+    )
+    def test_add_many_with_duplicate_indices(self, width, pairs):
+        reg = RegisterArray("r", 3, width_bits=width)
+        ref = _Reference(3, width)
+        indices = [index for index, _ in pairs]
+        values = [value for _, value in pairs]
+        expected = [ref.add(i, v) for i, v in pairs]
+        assert reg.add_many(indices, values) == expected
+        assert reg.snapshot().tolist() == ref.cells.tolist()
+        assert reg.reads == reg.writes == len(pairs)
+
+    @given(
+        width=_WIDTHS,
+        values=st.lists(st.integers(0, 2**64 - 1), min_size=5, max_size=5),
+    )
+    def test_load_masks_to_width(self, width, values):
+        reg = RegisterArray("r", 5, width_bits=width)
+        reg.load(values)
+        mask = (1 << width) - 1
+        assert reg.read_many(list(range(5))) == [v & mask for v in values]
+        reg.load(np.array(values, dtype=np.uint64))
+        assert reg.snapshot().tolist() == [v & mask for v in values]
+
+    @given(width=_WIDTHS, size=st.integers(1, 16))
+    def test_snapshot_dtype_shape_and_reset(self, width, size):
+        reg = RegisterArray("r", size, width_bits=width)
+        reg.write(size - 1, 2**64 - 1)
+        snap = reg.snapshot()
+        assert snap.dtype == np.uint64
+        assert snap.shape == (size,)
+        assert int(snap[-1]) == (1 << width) - 1
+        reg.reset()
+        assert reg.snapshot().tolist() == [0] * size
+        assert int(snap[-1]) == (1 << width) - 1  # the snapshot is a copy
+
+    @given(
+        op=st.sampled_from(
+            ["read", "write", "add", "merge_min", "merge_max", "read_many",
+             "add_many"]
+        ),
+        index=st.one_of(st.integers(max_value=-1), st.integers(min_value=4)),
+    )
+    def test_out_of_range_index_raises(self, op, index):
+        reg = RegisterArray("r", 4)
+        with pytest.raises(TableError):
+            if op == "read":
+                reg.read(index)
+            elif op == "read_many":
+                reg.read_many([0, index])
+            elif op == "add_many":
+                reg.add_many([0, index, 1], [5, 5, 5])
+            else:
+                getattr(reg, op)(index, 1)
+        assert reg.reads == reg.writes == 0
+        assert reg.snapshot().tolist() == [0] * 4

@@ -3,8 +3,8 @@
 The tentpole claims under test:
 
 - head-based sampling is decided once at injection from (seed, relative
-  packet id) alone, so the same packets are sampled on every target and
-  queue backend, and span ledgers are byte-identical across repeats
+  packet id) alone, so the same packets are sampled on every target,
+  and span ledgers are byte-identical across repeats
   (modulo ``git_sha``);
 - the span id survives cross-switch handoffs and is inherited by
   ``OP_RESULT`` emissions, stitching one causal trace per sampled packet;
@@ -203,30 +203,6 @@ class TestSpanLedgerDeterminism:
                 )
             )
         assert _strip_sha(docs[0]) == _strip_sha(docs[1])
-
-    @pytest.mark.parametrize("backend", ["heap", "calendar", "auto"])
-    def test_byte_identical_across_queue_backends(
-        self, backend, monkeypatch
-    ):
-        from repro.sim.event import QUEUE_BACKEND_ENV
-
-        monkeypatch.delenv(QUEUE_BACKEND_ENV, raising=False)
-        recorder, run = _sampled_fabric("rmt", sample=8)
-        reference = build_span_ledger(
-            "fabric-allreduce",
-            recorder,
-            seed=0,
-            span_coflows=run.span_coflows,
-        )
-        monkeypatch.setenv(QUEUE_BACKEND_ENV, backend)
-        recorder, run = _sampled_fabric("rmt", sample=8)
-        document = build_span_ledger(
-            "fabric-allreduce",
-            recorder,
-            seed=0,
-            span_coflows=run.span_coflows,
-        )
-        assert _strip_sha(document) == _strip_sha(reference)
 
     def test_ledger_shape(self, adcp_fabric):
         recorder, run = adcp_fabric
