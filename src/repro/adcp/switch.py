@@ -197,11 +197,11 @@ class ADCPSwitch(Component):
 
     @staticmethod
     def _default_key(packet: Packet) -> int:
-        if packet.payload is not None and len(packet.payload) > 0:
-            return packet.payload[0].key
-        if packet.has_header("coflow"):
-            return packet.header("coflow")["coflow_id"]
-        return 0
+        payload = packet.payload
+        if payload is not None and payload.elements:
+            return payload.elements[0].key
+        coflow = packet._header_index().get("coflow")
+        return 0 if coflow is None else coflow._values["coflow_id"]
 
     def _pick_ingress_lane(self, port: int) -> int:
         lane = self._next_ingress_lane[port]

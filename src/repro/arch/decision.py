@@ -64,10 +64,8 @@ class Decision:
         for packet in self.emissions:
             if packet.meta.egress_port is not None or packet.meta.egress_ports:
                 continue
-            if (
-                packet.has_header("ipv4")
-                and packet.header("ipv4")["dst_ip"] != 0
-            ):
+            ipv4 = packet._header_index().get("ipv4")
+            if ipv4 is not None and ipv4._values["dst_ip"] != 0:
                 # Fabric-addressed: the switch's route resolver maps the
                 # destination IP to a next-hop port at TM admission.
                 continue

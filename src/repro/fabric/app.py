@@ -121,11 +121,11 @@ class FabricAggregateApp(SwitchApp):
             self._expected[(coflow_id, partition)] += chunk_size
 
     def placement_key(self, packet: Packet) -> int:
-        if packet.payload is not None and len(packet.payload) > 0:
-            return packet.payload[0].key
-        if packet.has_header("coflow"):
-            return packet.header("coflow")["coflow_id"]
-        return 0
+        payload = packet.payload
+        if payload is not None and payload.elements:
+            return payload.elements[0].key
+        coflow = packet._header_index().get("coflow")
+        return 0 if coflow is None else coflow._values["coflow_id"]
 
     # --- hooks --------------------------------------------------------------------
 

@@ -25,16 +25,17 @@ FlowKey = tuple[int, int, int, int]
 
 def flow_key(packet: Packet) -> FlowKey:
     """The 4-field key ECMP hashes: coflow, flow, src, dst."""
+    headers = packet._header_index()
     coflow_id = flow_id = 0
-    if packet.has_header("coflow"):
-        header = packet.header("coflow")
-        coflow_id = header["coflow_id"]
-        flow_id = header["flow_id"]
+    coflow = headers.get("coflow")
+    if coflow is not None:
+        coflow_id = coflow._values["coflow_id"]
+        flow_id = coflow._values["flow_id"]
     src_ip = dst_ip = 0
-    if packet.has_header("ipv4"):
-        ip = packet.header("ipv4")
-        src_ip = ip["src_ip"]
-        dst_ip = ip["dst_ip"]
+    ip = headers.get("ipv4")
+    if ip is not None:
+        src_ip = ip._values["src_ip"]
+        dst_ip = ip._values["dst_ip"]
     return (coflow_id, flow_id, src_ip, dst_ip)
 
 

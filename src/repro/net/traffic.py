@@ -8,6 +8,7 @@ Poisson (for queueing behaviour in the traffic managers).
 
 from __future__ import annotations
 
+from itertools import starmap
 from typing import Iterator
 
 import numpy as np
@@ -68,7 +69,7 @@ def make_coflow_packet(
             f"element width must be positive, got {element_width_bytes}"
         )
     payload = ElementArray.adopt(
-        [Element(k, v) for k, v in elements], element_width_bytes
+        list(starmap(Element, elements)), element_width_bytes
     )
     return Packet([eth, ip, udp, coflow], payload, packet_id=packet_id)
 

@@ -13,7 +13,7 @@ Two arrival processes are supported (:data:`ARRIVAL_KINDS`):
 - ``periodic`` — deterministic gaps of exactly ``wire_time / rate``.
 - ``poisson``  — exponential gaps with that mean, drawn from a per-host
   PCG64 stream seeded by ``stable_hash64("serve/<seed>/h<host>")``, so
-  schedules are byte-stable across runs and queue backends.
+  schedules are byte-stable across runs.
 
 A :class:`RateProfile` modulates the target rate over time: an optional
 linear warm-up ramp and any number of multiplicative :class:`BurstPhase`

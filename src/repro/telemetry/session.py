@@ -96,7 +96,7 @@ class Telemetry:
         *before* switch construction, so the switch keeps the
         ``trace is None`` fast path (docs/KERNEL.md); ``counters`` and
         ``sampled`` add a :class:`ResourceMonitor` (deadline-aware, so
-        dispatch stays on ``_run_fast_probed``), and ``sampled`` adds a
+        dispatch stays on ``_run_fast``), and ``sampled`` adds a
         :class:`~repro.telemetry.spans.SpanRecorder` sampling 1 in
         ``sample`` packets.  ``full`` is the PR 1 instrumented path.
         """

@@ -304,7 +304,7 @@ class TestBaselineByteIdentity:
     """Regenerate the committed baseline ledgers and require byte-identity.
 
     These are the end-to-end anchors for the event-kernel rework: batched
-    admission, lazy PHV parsing, and the calendar queue must leave every
+    admission, lazy PHV parsing, and the single tuple heap must leave every
     observable number in the run ledgers untouched.  The only permitted
     difference is ``git_sha`` (stamped at build time), which is pinned to
     the baseline's value before the byte comparison.
