@@ -21,7 +21,7 @@ from ..arch.decision import Decision
 from ..coflow.placement import HashPlacement
 from ..errors import ConfigError
 from ..net.headers import OP_DATA, OP_RESULT
-from ..net.packet import Element, Packet
+from ..net.packet import Packet
 from ..net.phv import PHV
 from ..net.traffic import make_coflow_packet
 from .topology import host_ip
@@ -58,7 +58,8 @@ class FabricAggregateApp(SwitchApp):
         self.hosted = {spec.coflow_id: spec for spec in hosted}
         if len(self.hosted) != len(hosted):
             raise ConfigError("duplicate hosted coflow ids")
-        self._pending: dict[tuple[int, int], list[Element]] = {}
+        # Summed (key, total) pairs awaiting a result packet, per slot.
+        self._pending: dict[tuple[int, int], list[tuple[int, int]]] = {}
         self._completed: dict[tuple[int, int], int] = {}
         self._expected: dict[tuple[int, int], int] = {}
         #: (coflow, partition) -> the context holding its registers.
@@ -151,7 +152,7 @@ class FabricAggregateApp(SwitchApp):
         pending = self._pending[(coflow_id, partition)]
         for key, total, contributions in zip(keys, totals, seen):
             if contributions == workers:
-                pending.append(Element(key, total))
+                pending.append((key, total))
                 self._completed[(coflow_id, partition)] += 1
         emissions = self._drain_emissions(coflow_id, partition)
         if emissions:
@@ -205,13 +206,13 @@ class FabricAggregateApp(SwitchApp):
         return emissions
 
     def _result_packet(
-        self, spec: HostedCoflow, batch: list[Element], worker: int
+        self, spec: HostedCoflow, batch: list[tuple[int, int]], worker: int
     ) -> Packet:
         packet = make_coflow_packet(
             spec.coflow_id,
             flow_id=0xFFFF,
             seq=self.results_emitted,
-            elements=[(e.key, e.value) for e in batch],
+            elements=batch,
             opcode=OP_RESULT,
             dst_ip=host_ip(worker),
         )
