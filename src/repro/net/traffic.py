@@ -25,6 +25,10 @@ from .packet import Element, ElementArray, Packet
 
 _TEMPLATE_HEADERS: list | None = None
 
+#: ``Packet`` size tuples of built coflow packets, per (element count,
+#: element width).
+_SIZES: dict[tuple[int, int], tuple[int, int, int, int]] = {}
+
 
 def make_coflow_packet(
     coflow_id: int,
@@ -45,8 +49,9 @@ def make_coflow_packet(
     the stack (Ethernet/IPv4/UDP with their next-protocol wiring) are
     copied from a shared template, and the coflow header is packed from
     its field values in one pass, with the same range validation
-    ``instantiate`` performs.  ``packet_id``
-    stamps an id from a reserved block (see
+    ``instantiate`` performs.  Every such packet with the same element
+    count and width has the same sizes, so they are computed once per
+    shape.  ``packet_id`` stamps an id from a reserved block (see
     :func:`~repro.net.packet.reserve_packet_ids`) instead of drawing the
     next global one.
     """
@@ -71,7 +76,14 @@ def make_coflow_packet(
     payload = ElementArray.adopt(
         list(starmap(Element, elements)), element_width_bytes
     )
-    return Packet([eth, ip, udp, coflow], payload, packet_id=packet_id)
+    packet = Packet([eth, ip, udp, coflow], payload, packet_id=packet_id)
+    shape = (len(elements), element_width_bytes)
+    sizes = _SIZES.get(shape)
+    if sizes is None:
+        _SIZES[shape] = packet._size_tuple()
+    else:
+        packet._sizes = sizes
+    return packet
 
 
 def _template_headers() -> list:

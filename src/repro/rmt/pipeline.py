@@ -243,7 +243,8 @@ class Pipeline(Component):
         """
         if ready_time < 0:
             raise SimulationError(f"negative ready time {ready_time}")
-        start = max(ready_time, self._free_at)
+        free_at = self._free_at
+        start = ready_time if ready_time >= free_at else free_at
         cycle_s = self._cycle_s
         self._free_at = start + cycle_s
         self._busy_s += cycle_s
