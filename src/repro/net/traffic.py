@@ -25,10 +25,6 @@ from .packet import Element, ElementArray, Packet
 
 _TEMPLATE_HEADERS: list | None = None
 
-#: ``Packet`` size tuples of built coflow packets, per (element count,
-#: element width).
-_SIZES: dict[tuple[int, int], tuple[int, int, int, int]] = {}
-
 
 def make_coflow_packet(
     coflow_id: int,
@@ -77,12 +73,7 @@ def make_coflow_packet(
         list(starmap(Element, elements)), element_width_bytes
     )
     packet = Packet([eth, ip, udp, coflow], payload, packet_id=packet_id)
-    shape = (len(elements), element_width_bytes)
-    sizes = _SIZES.get(shape)
-    if sizes is None:
-        _SIZES[shape] = packet._size_tuple()
-    else:
-        packet._sizes = sizes
+    packet._sizes = _coflow_sizes(len(elements), element_width_bytes)
     return packet
 
 
@@ -95,7 +86,32 @@ def _template_headers() -> list:
     return template
 
 
-_WIRE_BYTES: dict[tuple[int, int], int] = {}
+_SIZES: dict[tuple[int, int], tuple[int, int, int, int]] = {}
+
+
+def _coflow_sizes(
+    element_count: int, element_width_bytes: int
+) -> tuple[int, int, int, int]:
+    """The ``Packet`` size tuple (header, payload, frame and wire bytes)
+    every :func:`make_coflow_packet` packet of this shape shares."""
+    key = (element_count, element_width_bytes)
+    sizes = _SIZES.get(key)
+    if sizes is None:
+        header_bytes = COFLOW_HEADER.width_bytes + sum(
+            h.type.width_bytes for h in _template_headers()
+        )
+        payload_bytes = element_count * element_width_bytes
+        frame = max(
+            header_bytes + payload_bytes + ETHERNET_FCS_BYTES,
+            ETHERNET_MIN_FRAME_BYTES,
+        )
+        sizes = _SIZES[key] = (
+            header_bytes,
+            payload_bytes,
+            frame,
+            frame + ETHERNET_OVERHEAD_BYTES,
+        )
+    return sizes
 
 
 def coflow_wire_bytes(element_count: int, element_width_bytes: int = 8) -> int:
@@ -104,20 +120,7 @@ def coflow_wire_bytes(element_count: int, element_width_bytes: int = 8) -> int:
     Generators that pace packets before (or instead of) building them
     use this; it equals ``packet.wire_bytes`` for every such packet.
     """
-    key = (element_count, element_width_bytes)
-    wire = _WIRE_BYTES.get(key)
-    if wire is None:
-        header_bytes = COFLOW_HEADER.width_bytes + sum(
-            h.type.width_bytes for h in _template_headers()
-        )
-        frame = max(
-            header_bytes
-            + element_count * element_width_bytes
-            + ETHERNET_FCS_BYTES,
-            ETHERNET_MIN_FRAME_BYTES,
-        )
-        wire = _WIRE_BYTES[key] = frame + ETHERNET_OVERHEAD_BYTES
-    return wire
+    return _coflow_sizes(element_count, element_width_bytes)[3]
 
 
 class TrafficSource:

@@ -9,6 +9,7 @@ from repro.net.headers import COFLOW_HEADER, coflow_header, standard_stack
 from repro.net.traffic import (
     DeterministicSource,
     PoissonSource,
+    coflow_wire_bytes,
     make_coflow_packet,
     merge_sources,
 )
@@ -96,6 +97,20 @@ class TestCoflowPacketBuilder:
             assert list(built.items()) == list(expected.items())
         assert [(e.key, e.value) for e in packet.payload] == elements
         assert packet.payload.element_width_bytes == 4
+
+    @pytest.mark.parametrize(
+        "count,width", [(0, 8), (1, 8), (3, 4), (16, 8), (64, 8)]
+    )
+    def test_shared_sizes_match_recomputed(self, count, width):
+        packet = make_coflow_packet(
+            1, 2, 3, [(i, i) for i in range(count)], element_width_bytes=width
+        )
+        shared = (packet.header_bytes, packet.payload_bytes,
+                  packet.frame_bytes, packet.wire_bytes)
+        packet.headers = packet.headers  # drops the size cache
+        assert (packet.header_bytes, packet.payload_bytes,
+                packet.frame_bytes, packet.wire_bytes) == shared
+        assert coflow_wire_bytes(count, width) == packet.wire_bytes
 
     def test_headers_are_copied_never_aliased(self):
         first = make_coflow_packet(1, 0, 0, [(0, 0)])
