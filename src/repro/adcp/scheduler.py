@@ -126,9 +126,6 @@ class KWayMergeScheduler:
         if buffered > self.max_buffered:
             self.max_buffered = buffered
 
-    def _active_flows(self) -> list[Hashable]:
-        return [f for f in self._buffers if f not in self._finished]
-
     def _release_ready(self) -> list[Packet]:
         released: list[Packet] = []
         while True:

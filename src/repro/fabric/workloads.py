@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from math import ceil
 from typing import Callable
 
-from ..coflow.model import Coflow, Flow, FlowDirection
 from ..errors import ConfigError
 from ..net.headers import OP_DATA, OP_RESULT
 from ..net.packet import Packet, reserve_packet_ids
@@ -49,31 +48,12 @@ _WORKERS_PER_COFLOW = 4
 
 @dataclass(frozen=True)
 class FabricCoflowSpec:
-    """One fabric coflow: its descriptor plus fabric addressing."""
+    """One fabric coflow: its worker hosts, vector size and kind."""
 
     coflow_id: int
     worker_hosts: tuple[int, ...]
     vector_elements: int
     aggregated: bool
-
-    def to_coflow(self, topology: Topology) -> Coflow:
-        """The :mod:`repro.coflow` descriptor (for bookkeeping/metrics)."""
-        flows = [
-            Flow(
-                flow_id=index,
-                src_port=topology.hosts[host].port,
-                dst_port=0,
-                element_count=self.vector_elements,
-                direction=FlowDirection.INPUT,
-                worker_id=index,
-            )
-            for index, host in enumerate(self.worker_hosts)
-        ]
-        return Coflow(
-            self.coflow_id,
-            flows,
-            pattern="aggregation" if self.aggregated else "shuffle",
-        )
 
 
 @dataclass

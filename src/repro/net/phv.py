@@ -161,9 +161,6 @@ class PHV:
     def has_meta(self, name: str) -> bool:
         return name in self._meta
 
-    def _containers_needed(self, width_bits: int) -> tuple[ContainerClass, int]:
-        return containers_needed(width_bits)
-
     def allocate(self, name: str, width_bits: int, value: int = 0) -> None:
         """Allocate containers for ``name`` and set its value."""
         if name in self._values:

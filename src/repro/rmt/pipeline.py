@@ -427,7 +427,3 @@ class Pipeline(Component):
     @property
     def busy_seconds(self) -> float:
         return self._busy_s
-
-    @property
-    def next_free(self) -> float:
-        return self._free_at

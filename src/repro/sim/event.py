@@ -53,11 +53,12 @@ def draining_gc():
     collections during a drain find nothing to free, yet each one scans
     the heap.  Freezing what was built keeps collections off it, and a
     higher gen-0 threshold makes them rarer.  On the serve workloads
-    this cuts collector time from ~6% of the run to ~0.5%.  Only
-    ``run_serve`` uses it: batch fabric runs keep every received packet
-    on their hosts, and were not measured under this policy.  The caller's
-    thresholds are restored on exit, and its own frozen set (or a
-    disabled collector) is left alone.
+    this cuts collector time from ~6% of the run to ~0.5%.  Users:
+    ``run_serve`` and single-switch stateful runs, whose switches list
+    their packets -- live, not garbage, so a collection frees nothing.
+    Batch fabric runs keep every received packet on their hosts, and were
+    not measured under this policy.  The caller's thresholds are restored
+    on exit, and its own frozen set (or a disabled collector) is left alone.
     """
     if not gc.isenabled():
         yield

@@ -28,7 +28,7 @@ that matches no rule leaves the flow's state untouched and is counted in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import ConfigError
 from ..program import ActionSpec, ProgramGraph, TableSpec

@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..errors import ConfigError
-from ..program import Compiler, TableSpec, adcp_target, rmt_target
+from ..program import Compiler, ProgramGraph, TableSpec, adcp_target, rmt_target
+from ..sim.event import draining_gc
 from ..sim.rng import DEFAULT_SEED
 from ..tables.mat import MatchKind
 from ..telemetry.ledger import (
@@ -200,7 +201,8 @@ def _run_single_target(
     # Arrivals are generated after construction: the switch has bound the
     # app's placement, which partition-local batching consults.
     arrivals = stream.arrivals(config.port_speed_bps)
-    result = switch.run(arrivals)
+    with draining_gc():
+        result = switch.run(arrivals)
     return stream, telemetry, result
 
 
@@ -230,20 +232,10 @@ def single_trace_sections(
 
 def _app_series(workload: str, app, truth: dict, duration_s: float) -> dict:
     """The per-primitive quality/state series for one app instance."""
-    series: dict[str, dict] = {}
     if workload == "tokenbucket":
-        bucket = app.bucket
-        series["admitted"] = _point(app.admitted)
-        series["rate_limited"] = _point(app.rate_limited)
-        series["goodput_pps"] = _point(
-            app.admitted / duration_s if duration_s > 0 else 0.0, "higher"
-        )
-        series["scr.admit_divergence"] = _point(bucket.admit_divergence)
-        series["scr.shadow_admitted"] = _point(bucket.shadow_admitted)
-        series["scr.reconciliations"] = _point(bucket.reconciliations)
-        series["scr.tokens_moved"] = _point(bucket.tokens_moved)
-        series["state_accesses"] = _point(app.admitted + app.rate_limited)
-    elif workload == "synflood":
+        return _merge_app_counters(workload, [app], truth, duration_s)
+    series: dict[str, dict] = {}
+    if workload == "synflood":
         engine = app.engine
         flagged = set(app.flagged_sources())
         attackers = set(truth.get("attackers", []))
@@ -427,8 +419,6 @@ def compile_divergence(workload: str, flows: int) -> StatefulSection:
             program = efsm_program(SYN_FLOOD_EFSM, flows, keys_per_packet=k)
             table_name = f"{SYN_FLOOD_EFSM.name}_flow"
         else:
-            from ..program import ProgramGraph
-
             program = ProgramGraph(f"{workload}_k{k}")
             program.add_table(_state_table(workload, flows, k))
             table_name = f"{workload}_state"

@@ -101,6 +101,10 @@ class ScrTokenBucket:
     A shadow sequential bucket replays the same ``(flow, tokens, time)``
     decision stream against the undivided budget; ``admit_divergence``
     counts decisions where the two disagree.
+
+    A lane refill adds ``elapsed * refill_per_s / lanes`` in that order
+    (``refill_per_s / lanes`` is inexact unless ``lanes`` is a power of
+    two) and clamps as ``min(cap, level)`` does.
     """
 
     def __init__(
@@ -120,9 +124,9 @@ class ScrTokenBucket:
         self.lanes = lanes
         self.capacity = capacity
         self.refill_per_s = refill_per_s
-        share = capacity / lanes
-        self._tokens = [[share] * flows for _ in range(lanes)]
-        self._refill_at = [[0.0] * flows for _ in range(lanes)]
+        self._lane_cap = capacity / lanes
+        self._tokens = [[self._lane_cap] * lanes for _ in range(flows)]
+        self._refill_at = [[0.0] * lanes for _ in range(flows)]
         self._shadow_tokens = [capacity] * flows
         self._shadow_refill_at = [0.0] * flows
         self.admitted = 0
@@ -131,17 +135,6 @@ class ScrTokenBucket:
         self.admit_divergence = 0
         self.reconciliations = 0
         self.tokens_moved = 0.0
-
-    def _lane_refill(self, lane: int, flow: int, now_s: float) -> None:
-        elapsed = now_s - self._refill_at[lane][flow]
-        if elapsed > 0:
-            cap = self.capacity / self.lanes
-            self._tokens[lane][flow] = min(
-                cap,
-                self._tokens[lane][flow]
-                + elapsed * self.refill_per_s / self.lanes,
-            )
-        self._refill_at[lane][flow] = now_s
 
     def try_consume(
         self, lane: int, flow: int, tokens: float, now_s: float
@@ -152,10 +145,15 @@ class ScrTokenBucket:
                 f"token bucket: lane {lane} out of range [0, {self.lanes})"
             )
         slot = flow % self.flows
-        self._lane_refill(lane, slot, now_s)
-        admitted = self._tokens[lane][slot] >= tokens
+        row, stamps = self._tokens[slot], self._refill_at[slot]
+        elapsed = now_s - stamps[lane]
+        if elapsed > 0:
+            level = row[lane] + elapsed * self.refill_per_s / self.lanes
+            row[lane] = min(self._lane_cap, level)
+        stamps[lane] = now_s
+        admitted = row[lane] >= tokens
         if admitted:
-            self._tokens[lane][slot] -= tokens
+            row[lane] -= tokens
             self.admitted += 1
         else:
             self.dropped += 1
@@ -179,17 +177,26 @@ class ScrTokenBucket:
         """Pool leftover tokens per flow and re-split them evenly.
 
         Returns the total token mass moved between lanes this round.
+        Costs O(flows x lanes) and is bit-exact: each flow's lanes are
+        refilled, pooled left to right and re-split in a fixed order.
         """
         self.reconciliations += 1
+        lanes = self.lanes
+        cap = self._lane_cap
+        refill_per_s = self.refill_per_s
+        synced = [now_s] * lanes
         moved = 0.0
-        for flow in range(self.flows):
-            for lane in range(self.lanes):
-                self._lane_refill(lane, flow, now_s)
-            pool = sum(self._tokens[lane][flow] for lane in range(self.lanes))
-            share = pool / self.lanes
-            for lane in range(self.lanes):
-                moved += abs(self._tokens[lane][flow] - share)
-                self._tokens[lane][flow] = share
+        for row, stamps in zip(self._tokens, self._refill_at):
+            for lane, stamp in enumerate(stamps):
+                elapsed = now_s - stamp
+                if elapsed > 0:
+                    level = row[lane] + elapsed * refill_per_s / lanes
+                    row[lane] = level if level < cap else cap
+            stamps[:] = synced
+            share = sum(row) / lanes
+            for level in row:
+                moved += abs(level - share)
+            row[:] = [share] * lanes
         # Each transfer moves mass both out of and into lanes; count the
         # one-way mass.
         moved /= 2.0
@@ -197,4 +204,4 @@ class ScrTokenBucket:
         return moved
 
     def lane_tokens(self, lane: int, flow: int) -> float:
-        return self._tokens[lane][flow % self.flows]
+        return self._tokens[flow % self.flows][lane]

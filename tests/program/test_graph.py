@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import CompileError, ConfigError
 from repro.program.graph import DependencyKind, ProgramGraph
@@ -107,3 +109,102 @@ class TestProgramGraph:
         assert program.depth == 0
         assert program.critical_path() == []
         assert program.levels() == []
+
+
+@st.composite
+def _dags(draw):
+    """Tables in insertion order, plus acyclic edges in insertion order.
+
+    Edges run forward in a random permutation of the tables, so the graph
+    is a DAG whatever order they are added in.
+    """
+    names = [f"t{i}" for i in range(draw(st.integers(0, 12)))]
+    rank = draw(st.permutations(names))
+    pairs = [
+        (rank[i], rank[j])
+        for i in range(len(rank))
+        for j in range(i + 1, len(rank))
+    ]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    kinds = draw(
+        st.lists(st.sampled_from(DependencyKind), min_size=len(edges),
+                 max_size=len(edges))
+    )
+    return names, list(zip(edges, kinds))
+
+
+def _build(names, edges) -> ProgramGraph:
+    program = ProgramGraph()
+    for name in names:
+        program.add_table(_table(name))
+    for (before, after), kind in edges:
+        program.add_dependency(before, after, kind)
+    return program
+
+
+def _snapshot(program: ProgramGraph, names):
+    return (
+        [[t.name for t in level] for level in program.levels()],
+        program.depth,
+        {name: program.dependencies(name) for name in names},
+    )
+
+
+class TestProgramGraphProperties:
+    @settings(deadline=None, max_examples=150)
+    @given(_dags())
+    def test_levels_are_longest_path_generations(self, dag):
+        names, edges = dag
+        program = _build(names, edges)
+        levels = [[t.name for t in level] for level in program.levels()]
+        level_of = {n: i for i, level in enumerate(levels) for n in level}
+        assert sorted(level_of) == sorted(names)
+        for i, level in enumerate(levels):
+            assert level == sorted(level)
+            for name in level:
+                preds = [p for p, _ in program.dependencies(name)]
+                assert all(level_of[p] < i for p in preds)
+                if i > 0:
+                    assert any(level_of[p] == i - 1 for p in preds)
+                else:
+                    assert preds == []
+        assert program.depth == len(levels)
+
+    @settings(deadline=None, max_examples=150)
+    @given(_dags())
+    def test_critical_path_is_a_chain_of_depth_tables(self, dag):
+        names, edges = dag
+        program = _build(names, edges)
+        path = program.critical_path()
+        assert len(path) == program.depth
+        for before, after in zip(path, path[1:]):
+            assert before in [p for p, _ in program.dependencies(after)]
+        assert program.critical_path() == path  # deterministic
+
+    @settings(deadline=None, max_examples=150)
+    @given(_dags(), st.data())
+    def test_rejected_cycle_edge_changes_nothing(self, dag, data):
+        names, edges = dag
+        assume(edges)
+        program = _build(names, edges)
+        before = _snapshot(program, names)
+        # Reversing an edge, or closing the critical path, makes a cycle.
+        before_name, after_name = data.draw(
+            st.sampled_from([edge for edge, _ in edges])
+        )
+        with pytest.raises(CompileError):
+            program.add_dependency(after_name, before_name)
+        path = program.critical_path()
+        if len(path) > 1:
+            with pytest.raises(CompileError):
+                program.add_dependency(path[-1], path[0])
+        assert _snapshot(program, names) == before
+
+    @settings(deadline=None, max_examples=100)
+    @given(_dags())
+    def test_dependencies_keep_edge_insertion_order(self, dag):
+        names, edges = dag
+        program = _build(names, edges)
+        for name in names:
+            expected = [(b, kind) for (b, a), kind in edges if a == name]
+            assert program.dependencies(name) == expected

@@ -8,11 +8,13 @@ run.
 
 from __future__ import annotations
 
+import gc
 import json
 
 import pytest
 
 from repro.errors import ConfigError
+from repro.sim.event import DRAIN_GC_THRESHOLD, Simulator
 from repro.stateful.runner import run_stateful
 from repro.stateful.workloads import STATEFUL_WORKLOADS
 
@@ -159,3 +161,49 @@ class TestLedgerDeterminism:
         assert loaded["workload"] == "tokenbucket"
         labels = [s["label"] for s in loaded["sections"]]
         assert labels == ["adcp:tokenbucket", "compile"]
+
+
+class TestCollectorPolicy:
+    """Single-switch drains run under ``draining_gc`` and restore it."""
+
+    def _gc_state(self):
+        return gc.get_threshold(), gc.get_freeze_count(), gc.isenabled()
+
+    def test_drain_runs_under_the_policy_and_restores_it(self, monkeypatch):
+        seen = []
+        run = Simulator.run
+
+        def recording_run(sim, *args, **kwargs):
+            seen.append((gc.get_threshold()[0], gc.get_freeze_count()))
+            return run(sim, *args, **kwargs)
+
+        monkeypatch.setattr(Simulator, "run", recording_run)
+        before = self._gc_state()
+        assert before[1] == 0
+        run_stateful("tokenbucket", **_FAST)
+        assert self._gc_state() == before
+        assert len(seen) == 2  # one drain per target
+        for threshold, frozen in seen:
+            assert threshold == max(before[0][0], DRAIN_GC_THRESHOLD)
+            assert frozen > 0
+
+    def test_leaves_a_callers_frozen_set_and_disabled_collector_alone(self):
+        before = self._gc_state()
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            run_stateful("tokenbucket", target="rmt", **_FAST)
+            # Still frozen, and nothing added: frozen objects may die by
+            # reference count during the run, which lowers the count.
+            assert 0 < gc.get_freeze_count() <= frozen
+            assert gc.get_threshold() == before[0]
+        finally:
+            gc.unfreeze()
+        gc.disable()
+        try:
+            run_stateful("tokenbucket", target="rmt", **_FAST)
+            assert gc.get_threshold() == before[0]
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+        assert self._gc_state() == before
