@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from ..errors import ConfigError
 from ..net.packet import Packet
-from ..sim.rng import stable_hash64
+from ..sim.rng import fmix64, fnv1a64, stable_hash64
 
 FlowKey = tuple[int, int, int, int]
 
@@ -39,11 +39,22 @@ def flow_key(packet: Packet) -> FlowKey:
     return (coflow_id, flow_id, src_ip, dst_ip)
 
 
+def _salt_prefix(salt: int) -> int:
+    """FNV-1a state after the ``"<salt>:"`` prefix every selector hash
+    string starts with; the per-packet hash walks only the tail."""
+    return fnv1a64(f"{salt}:".encode())
+
+
 class EcmpSelector:
-    """Static per-flow hashing over the candidate port set."""
+    """Static per-flow hashing over the candidate port set.
+
+    The port index is ``stable_hash64(f"{salt}:{key}") % len(candidates)``,
+    computed from the precomputed prefix state.
+    """
 
     def __init__(self, salt: int = 0) -> None:
         self.salt = salt
+        self._prefix = _salt_prefix(salt)
 
     def choose(
         self, packet: Packet, candidates: tuple[int, ...], now_s: float
@@ -52,8 +63,8 @@ class EcmpSelector:
             raise ConfigError("ECMP selection over an empty candidate set")
         if len(candidates) == 1:
             return candidates[0]
-        key = flow_key(packet)
-        index = stable_hash64(f"{self.salt}:{key}") % len(candidates)
+        tail = str(flow_key(packet)).encode()
+        index = fmix64(fnv1a64(tail, self._prefix)) % len(candidates)
         return candidates[index]
 
 
@@ -61,7 +72,10 @@ class FlowletSelector:
     """Flowlet switching: re-hash after an idle gap, sticky within one.
 
     ``history`` records every (seq, port) pick per flow so tests can
-    assert the zero-intra-flowlet-reordering property directly.
+    assert the zero-intra-flowlet-reordering property directly.  A new
+    flowlet's port index is
+    ``stable_hash64(f"{salt}:{key}:{flowlet}") % len(candidates)``,
+    computed from the precomputed prefix state.
     """
 
     def __init__(self, gap_s: float, salt: int = 0) -> None:
@@ -69,6 +83,7 @@ class FlowletSelector:
             raise ConfigError(f"flowlet gap must be positive, got {gap_s}")
         self.gap_s = gap_s
         self.salt = salt
+        self._prefix = _salt_prefix(salt)
         self.flowlets_started = 0
         self._state: dict[FlowKey, tuple[float, int, int]] = {}
         self.history: dict[FlowKey, list[tuple[int, int]]] = {}
@@ -82,9 +97,8 @@ class FlowletSelector:
         state = self._state.get(key)
         if state is None or now_s - state[0] > self.gap_s:
             flowlet = 0 if state is None else state[1] + 1
-            index = stable_hash64(
-                f"{self.salt}:{key}:{flowlet}"
-            ) % len(candidates)
+            tail = f"{key}:{flowlet}".encode()
+            index = fmix64(fnv1a64(tail, self._prefix)) % len(candidates)
             port = candidates[index]
             self.flowlets_started += 1
         else:

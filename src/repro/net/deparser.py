@@ -38,26 +38,35 @@ class Deparser:
         headers: list[Header] = []
         for header in original.headers:
             rebuilt = header.copy()
-            rebuilt_values = rebuilt._values
+            values = header._values
             # The per-type plan carries precomputed qualified names and
             # max values; the range check mirrors Header.__setitem__
             # (hooks can write out-of-range values into the PHV, and the
-            # deparser is where that must surface).
+            # deparser is where that must surface).  The parser lifts the
+            # header's own value objects into the PHV, so a field no hook
+            # wrote is the identical object; the copy keeps sharing the
+            # original's dict until some field is not, and only then
+            # takes a private one.
             for phv_name, field_name, max_value in header.type._deparse_plan:
                 value = phv_values.get(phv_name, _MISSING)
-                if value is _MISSING:
+                if value is _MISSING or value is values[field_name]:
                     continue
-                if 0 <= value <= max_value:
-                    rebuilt_values[field_name] = value
-                else:
+                if not 0 <= value <= max_value:
                     rebuilt[field_name] = value  # raises the range ConfigError
+                if rebuilt._shared:
+                    values = rebuilt._values = dict(values)
+                    rebuilt._shared = False
+                values[field_name] = value
             headers.append(rebuilt)
 
         payload = self._rebuild_array(phv, original)
         packet = Packet(headers, payload, original.extra_payload_bytes)
         packet.meta = original.meta
         if packet.has_header("coflow") and payload is not None:
-            packet.header("coflow")["element_count"] = len(payload)
+            coflow = packet.header("coflow")
+            count = len(payload)
+            if coflow._values["element_count"] is not count:
+                coflow["element_count"] = count
         self.packets_deparsed += 1
         return packet
 

@@ -116,6 +116,7 @@ class HeaderType:
         header = Header.__new__(Header)
         header.type = self
         header._values = dict(zip(self._max_by_name, values))
+        header._shared = False
         return header
 
 
@@ -123,13 +124,18 @@ class Header:
     """A concrete header: a type plus field values.
 
     Values are plain ints, range-checked against field widths on set.
+    Copies share their value dict until one side writes (see
+    :meth:`copy`), so ``_values`` is never mutated in place: every write
+    goes through :meth:`__setitem__`, or through the deparser, which
+    takes a private dict first.
     """
 
-    __slots__ = ("type", "_values")
+    __slots__ = ("type", "_values", "_shared")
 
     def __init__(self, header_type: HeaderType, values: dict[str, int] | None = None):
         self.type = header_type
         self._values: dict[str, int] = dict(header_type._zero_values)
+        self._shared = False
         if values:
             for name, value in values.items():
                 self[name] = value
@@ -151,6 +157,9 @@ class Header:
                 f"value {value} out of range for {self.type.name}.{name} "
                 f"({spec.width_bits} bits)"
             )
+        if self._shared:
+            self._values = dict(self._values)
+            self._shared = False
         self._values[name] = value
 
     def __contains__(self, name: str) -> bool:
@@ -160,12 +169,19 @@ class Header:
         return self._values.items()
 
     def copy(self) -> "Header":
-        # Values in an existing header already passed range validation,
-        # so the copy skips __init__ entirely (deparse copies every
-        # header of every serviced packet).
+        """A copy-on-write copy, not a deep copy.
+
+        The copy shares this header's value dict, and both are marked
+        shared: whichever side writes first takes a private dict, so a
+        write to either never shows in the other.  Values in an existing
+        header already passed range validation, so the copy skips
+        ``__init__`` entirely (deparse copies every header of every
+        serviced packet, and packet builders copy a template stack).
+        """
         clone = Header.__new__(Header)
         clone.type = self.type
-        clone._values = dict(self._values)
+        clone._values = self._values
+        clone._shared = self._shared = True
         return clone
 
     def __eq__(self, other: object) -> bool:

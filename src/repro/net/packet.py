@@ -313,7 +313,13 @@ class Packet:
         return 0 if payload is None else len(payload.elements)
 
     def copy(self) -> "Packet":
-        """Deep copy with fresh packet id and reset metadata."""
+        """Copy with fresh packet id and reset metadata.
+
+        Headers are copy-on-write copies (see :meth:`Header.copy`), not
+        deep copies: the clone shares their values until either side
+        writes a field, which goes only through ``Header.__setitem__``
+        or the deparser.  The element array is copied element by element.
+        """
         clone = Packet(
             [h.copy() for h in self._headers],
             self._payload.copy() if self._payload else None,

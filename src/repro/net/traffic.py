@@ -43,7 +43,9 @@ def make_coflow_packet(
 
     Workload generators call this once per packet, so the fixed parts of
     the stack (Ethernet/IPv4/UDP with their next-protocol wiring) are
-    copied from a shared template, and the coflow header is packed from
+    copy-on-write copies of a shared template: Ethernet and UDP share the
+    template's values, and IPv4 takes a private dict only when the
+    addresses are written.  The coflow header is packed from
     its field values in one pass, with the same range validation
     ``instantiate`` performs.  Every such packet with the same element
     count and width has the same sizes, so they are computed once per

@@ -50,7 +50,10 @@ class SwitchRunResult:
     that sink from then on: the switch counts it in ``handed_off``
     rather than listing it in ``delivered``.  Likewise a switch with port
     sinks counts its drops in ``unlisted_drops``.  A standalone switch
-    has no sinks, so every packet it delivers or drops stays listed.
+    has no sinks, so every packet it delivers or drops stays listed --
+    unless its caller installs some: the stateful runner gives every
+    port a sink that discards the packet, because its readers need only
+    the counts.
     """
 
     delivered: list[Packet] = field(default_factory=list)

@@ -54,8 +54,8 @@ def draining_gc():
     the heap.  Freezing what was built keeps collections off it, and a
     higher gen-0 threshold makes them rarer.  On the serve workloads
     this cuts collector time from ~6% of the run to ~0.5%.  Users:
-    ``run_serve`` and single-switch stateful runs, whose switches list
-    their packets -- live, not garbage, so a collection frees nothing.
+    ``run_serve`` and single-switch stateful runs, whose port sinks
+    discard every packet they are handed, so it dies by reference count.
     Batch fabric runs keep every received packet on their hosts, and were
     not measured under this policy.  The caller's thresholds are restored
     on exit, and its own frozen set (or a disabled collector) is left alone.

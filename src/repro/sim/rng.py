@@ -37,15 +37,48 @@ def split_rng(rng: np.random.Generator, count: int) -> list[np.random.Generator]
     return [np.random.default_rng(int(s)) for s in seeds]
 
 
+_FNV_OFFSET = 0xCBF29CE484222325
+_FNV_PRIME = 0x100000001B3
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+
+
+def fnv1a64(data: bytes, state: int = _FNV_OFFSET) -> int:
+    """FNV-1a walk over ``data``, starting from ``state``.
+
+    The walk is a left fold, so ``fnv1a64(tail, fnv1a64(prefix))`` equals
+    ``fnv1a64(prefix + tail)``: callers that hash many strings with one
+    fixed prefix walk the prefix once and keep its state.
+    """
+    h = state
+    for byte in data:
+        h ^= byte
+        h = (h * _FNV_PRIME) & _MASK64
+    return h
+
+
+def fmix64(h: int) -> int:
+    """murmur3's fmix64 avalanche, so every output bit depends on every
+    input bit."""
+    h ^= h >> 33
+    h = (h * 0xFF51AFD7ED558CCD) & _MASK64
+    h ^= h >> 33
+    h = (h * 0xC4CEB9FE1A85EC53) & _MASK64
+    h ^= h >> 33
+    return h
+
+
 def stable_hash64(value: int | str | bytes) -> int:
     """Deterministic 64-bit hash, stable across processes.
 
     Python's builtin ``hash`` is salted per process; placement decisions
     (which central pipeline a key lands on) must be reproducible, so the
     library uses FNV-1a instead — followed by a murmur3-style avalanche
-    finalizer.  The finalizer matters: raw FNV-1a's low bits mod small
-    powers of two depend only on the input bytes mod the same power, which
-    would send every 16-aligned chunk key to the same partition.
+    finalizer (:func:`fmix64`).  The finalizer matters: raw FNV-1a's low
+    bits mod small powers of two depend only on the input bytes mod the
+    same power, which would send every 16-aligned chunk key to the same
+    partition.  A string is hashed as its UTF-8 bytes, so
+    ``fmix64(fnv1a64(tail.encode(), fnv1a64(prefix.encode())))`` equals
+    ``stable_hash64(prefix + tail)``.
     """
     if isinstance(value, int):
         data = value.to_bytes(16, "little", signed=True)
@@ -53,16 +86,4 @@ def stable_hash64(value: int | str | bytes) -> int:
         data = value.encode("utf-8")
     else:
         data = value
-    mask = 0xFFFFFFFFFFFFFFFF
-    h = 0xCBF29CE484222325
-    for byte in data:
-        h ^= byte
-        h = (h * 0x100000001B3) & mask
-    # fmix64 avalanche (murmur3) so every output bit depends on every
-    # input bit.
-    h ^= h >> 33
-    h = (h * 0xFF51AFD7ED558CCD) & mask
-    h ^= h >> 33
-    h = (h * 0xC4CEB9FE1A85EC53) & mask
-    h ^= h >> 33
-    return h
+    return fmix64(fnv1a64(data))

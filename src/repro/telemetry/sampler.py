@@ -39,7 +39,7 @@ from __future__ import annotations
 import enum
 
 from ..errors import ConfigError
-from ..sim.rng import stable_hash64
+from ..sim.rng import fmix64, fnv1a64
 
 
 class TelemetryLevel(enum.Enum):
@@ -92,7 +92,7 @@ class SpanSampler:
     packet-id counter keeps advancing — sample identical positions.
     """
 
-    __slots__ = ("seed", "sample", "_base", "offered", "admitted")
+    __slots__ = ("seed", "sample", "_base", "offered", "admitted", "_prefix")
 
     def __init__(self, seed: int, sample: int) -> None:
         if sample < 1:
@@ -102,6 +102,10 @@ class SpanSampler:
         self._base: int | None = None
         self.offered = 0
         self.admitted = 0
+        # FNV-1a state after the "span/<seed>/" prefix, so each decision
+        # walks only the id's digits; equal to stable_hash64 of the whole
+        # key string.
+        self._prefix = fnv1a64(f"span/{seed}/".encode())
 
     def admits(self, packet_id: int) -> bool:
         base = self._base
@@ -109,8 +113,8 @@ class SpanSampler:
             base = self._base = packet_id
         self.offered += 1
         if self.sample > 1:
-            key = f"span/{self.seed}/{packet_id - base}"
-            if stable_hash64(key) % self.sample != 0:
+            tail = f"{packet_id - base}".encode()
+            if fmix64(fnv1a64(tail, self._prefix)) % self.sample != 0:
                 return False
         self.admitted += 1
         return True

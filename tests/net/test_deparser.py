@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.errors import DeparseError
+from repro.errors import ConfigError, DeparseError
 from repro.net.deparser import Deparser
 from repro.net.parser import ParseGraph, Parser
 from repro.net.traffic import make_coflow_packet
@@ -38,6 +38,31 @@ class TestDeparser:
         rebuilt = Deparser().deparse(result.phv, packet)
         assert rebuilt.header("ipv4")["ttl"] == 63
         assert rebuilt.header("coflow")["round"] == 7
+
+    def test_dirty_phv_leaves_original_headers_untouched(self):
+        packet = make_coflow_packet(3, 1, 5, [(1, 10)], src_ip=1, dst_ip=2)
+        before = [dict(h.items()) for h in packet.headers]
+        result = _parse(packet)
+        result.phv["ipv4.ttl"] = 63
+        result.phv["ipv4.dst_ip"] = 7
+        result.phv["ethernet.src_mac"] = 5
+        result.phv["coflow.round"] = 7
+        rebuilt = Deparser().deparse(result.phv, packet)
+        assert [dict(h.items()) for h in packet.headers] == before
+        assert rebuilt.header("ipv4")["dst_ip"] == 7
+        assert rebuilt.header("ethernet")["src_mac"] == 5
+        # A later write to the original does not reach the rebuilt copy.
+        packet.header("udp")["length"] = 1234
+        assert rebuilt.header("udp")["length"] == 0
+
+    def test_out_of_range_phv_value_still_raises(self):
+        packet = make_coflow_packet(3, 1, 5, [(1, 10)])
+        before = [dict(h.items()) for h in packet.headers]
+        result = _parse(packet)
+        result.phv["ipv4.ttl"] = 256  # hooks may write out of range
+        with pytest.raises(ConfigError):
+            Deparser().deparse(result.phv, packet)
+        assert [dict(h.items()) for h in packet.headers] == before
 
     def test_array_modification_applies(self):
         packet = make_coflow_packet(1, 1, 0, [(1, 10), (2, 20)])

@@ -97,6 +97,84 @@ class TestHeader:
         assert header["length"] == value
 
 
+_UDP_FIELDS = [f.name for f in UDP.fields]
+
+# One step of a copy/write history over a growing list of headers: copy
+# header i (appending the copy), or write value v to field f of header i.
+# Indices are taken modulo the list length when the step is applied.
+_COW_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("copy"), st.integers(0, 63)),
+        st.tuples(
+            st.just("write"),
+            st.integers(0, 63),
+            st.sampled_from(_UDP_FIELDS),
+            st.integers(0, (1 << 16) - 1),
+        ),
+    ),
+    max_size=40,
+)
+
+
+class TestCopyOnWrite:
+    """``Header.copy`` shares values until a write; no write ever shows
+    in another header."""
+
+    def test_write_to_copy_never_shows_in_source(self):
+        source = UDP.instantiate(src_port=1, dst_port=2)
+        copy = source.copy()
+        copy["dst_port"] = 9
+        assert source["dst_port"] == 2
+        assert copy["dst_port"] == 9
+        assert copy["src_port"] == 1
+
+    def test_write_to_source_never_shows_in_earlier_copy(self):
+        source = UDP.instantiate(src_port=1, dst_port=2)
+        copy = source.copy()
+        source["dst_port"] = 9
+        assert copy["dst_port"] == 2
+        assert source["dst_port"] == 9
+
+    def test_chain_of_copies_stays_isolated(self):
+        first = UDP.instantiate(length=10)
+        second = first.copy()
+        third = second.copy()
+        second["length"] = 20
+        assert (first["length"], second["length"], third["length"]) == (
+            10, 20, 10,
+        )
+        first["length"] = 30
+        third["length"] = 40
+        assert (first["length"], second["length"], third["length"]) == (
+            30, 20, 40,
+        )
+
+    def test_rejected_write_leaves_shared_values_alone(self):
+        source = UDP.instantiate(dst_port=2)
+        copy = source.copy()
+        with pytest.raises(ConfigError):
+            copy["dst_port"] = 1 << 16
+        assert copy["dst_port"] == source["dst_port"] == 2
+
+    @given(_COW_STEPS)
+    def test_any_copy_write_history_matches_private_dicts(self, steps):
+        """Every header always reads exactly what a deep-copying model
+        predicts, whatever chain of copies and writes produced it."""
+        headers = [UDP.instantiate(src_port=1, dst_port=2, length=3)]
+        model = [dict(headers[0].items())]
+        for step in steps:
+            i = step[1] % len(headers)
+            if step[0] == "copy":
+                headers.append(headers[i].copy())
+                model.append(dict(model[i]))
+            else:
+                _, _, name, value = step
+                headers[i][name] = value
+                model[i][name] = value
+            for header, expected in zip(headers, model):
+                assert dict(header.items()) == expected
+
+
 class TestStandardStack:
     def test_stack_is_wired(self):
         eth, ip, udp = standard_stack(dst_ip=0x0A000001)

@@ -112,6 +112,20 @@ class TestPacketCopy:
         clone.header("coflow")["seq"] = 99
         assert packet.header("coflow")["seq"] == 0
 
+    def test_copy_headers_isolated_both_ways(self):
+        packet = make_coflow_packet(1, 1, 0, [(1, 1)])
+        clone = packet.copy()
+        packet.header("ipv4")["ttl"] = 5
+        packet.header("coflow")["round"] = 3
+        assert clone.header("ipv4")["ttl"] == 64
+        assert clone.header("coflow")["round"] == 0
+        clone.header("udp")["length"] = 77
+        assert packet.header("udp")["length"] == 0
+        grandchild = clone.copy()
+        clone.header("udp")["length"] = 78
+        assert grandchild.header("udp")["length"] == 77
+        assert packet.header("udp")["length"] == 0
+
 
 class TestPacketMetadata:
     def test_dropped_flag(self):

@@ -9,6 +9,7 @@ from repro.net.headers import COFLOW_HEADER, coflow_header, standard_stack
 from repro.net.traffic import (
     DeterministicSource,
     PoissonSource,
+    _template_headers,
     coflow_wire_bytes,
     make_coflow_packet,
     merge_sources,
@@ -124,6 +125,29 @@ class TestCoflowPacketBuilder:
             assert first.header(name) is not second.header(name)
         third = make_coflow_packet(1, 0, 2, [(0, 0)])
         assert third.headers[:3] == template
+
+    def test_template_stack_survives_writes_to_built_packets(self):
+        """Packets share the template's values copy-on-write: writing
+        ``ipv4``/``coflow`` fields of built packets never reaches the
+        template or any other packet."""
+        template = _template_headers()
+        before = [dict(h.items()) for h in template]
+        packets = [
+            make_coflow_packet(
+                1, i % 7, i, [(i, i)], src_ip=i % 3, dst_ip=i % 5
+            )
+            for i in range(1000)
+        ]
+        for i, packet in enumerate(packets[::3]):
+            packet.header("ipv4")["ttl"] = i % 256
+            packet.header("ipv4")["dst_ip"] = 0xFFFFFFFF
+            packet.header("coflow")["round"] = 99
+        assert [dict(h.items()) for h in template] == before
+        assert template == standard_stack()
+        untouched = packets[1]
+        assert untouched.header("ipv4")["ttl"] == 64
+        assert untouched.header("ipv4")["dst_ip"] == 1
+        assert untouched.header("coflow")["round"] == 0
 
 
 class TestDeterministicSource:

@@ -14,6 +14,7 @@ import json
 import pytest
 
 from repro.errors import ConfigError
+from repro.net.packet import Packet
 from repro.sim.event import DRAIN_GC_THRESHOLD, Simulator
 from repro.stateful.runner import run_stateful
 from repro.stateful.workloads import STATEFUL_WORKLOADS
@@ -161,6 +162,32 @@ class TestLedgerDeterminism:
         assert loaded["workload"] == "tokenbucket"
         labels = [s["label"] for s in loaded["sections"]]
         assert labels == ["adcp:tokenbucket", "compile"]
+
+
+class TestPacketRetention:
+    """Standalone stateful runs keep counts, not packets: every port has
+    a discarding sink, so no delivered or dropped packet outlives the
+    switch that forwarded it."""
+
+    @pytest.mark.parametrize("workload", STATEFUL_WORKLOADS)
+    def test_results_list_nothing_and_no_packet_survives(self, workload):
+        watermark = Packet([]).packet_id
+        run = run_stateful(workload, **_FAST)
+        for section in run.sections[:2]:
+            result = section.result
+            assert result.delivered == []
+            assert result.dropped == []
+            assert section.series["delivered"]["mean"] == result.handed_off
+            assert section.series["dropped"]["mean"] == result.unlisted_drops
+            assert result.handed_off > 0
+        gc.collect()
+        survivors = [
+            obj
+            for obj in gc.get_objects()
+            if isinstance(obj, Packet) and obj.packet_id > watermark
+        ]
+        assert survivors == []
+        assert run.sections[0].result is not None  # the run is still alive
 
 
 class TestCollectorPolicy:
