@@ -18,11 +18,11 @@ from __future__ import annotations
 from ..arch.app import SwitchApp
 from ..arch.decision import Decision, Verdict
 from ..arch.port import TxPort
+from ..arch.switch import SwitchModel
 from ..coflow.placement import PlacementPolicy
 from ..errors import ConfigError
 from ..net.headers import OP_FLUSH
 from ..net.packet import Packet
-from ..sim.component import Component
 from ..sim.event import Simulator
 from ..telemetry.events import Category, Severity
 from ..rmt.pipeline import Pipeline
@@ -33,7 +33,7 @@ from .scheduler import KWayMergeScheduler
 from .traffic_manager import ApplicationTrafficManager
 
 
-class ADCPSwitch(Component):
+class ADCPSwitch(SwitchModel):
     """Executable model of the proposed ADCP architecture."""
 
     def __init__(
@@ -185,16 +185,6 @@ class ADCPSwitch(Component):
 
     # --- topology helpers --------------------------------------------------------
 
-    def _elide_hook(self, region: str):
-        """The app's hook for ``region``, or None if it is the inherited
-        :class:`~repro.arch.app.SwitchApp` default (pure forward)."""
-        app = self.app
-        if app is None:
-            return None
-        if getattr(type(app), region) is getattr(SwitchApp, region):
-            return None
-        return getattr(app, region)
-
     @staticmethod
     def _default_key(packet: Packet) -> int:
         payload = packet.payload
@@ -242,103 +232,6 @@ class ADCPSwitch(Component):
                 port.monitor_probes(label=f"{path}.tx{port.port}")
             )
         return probes
-
-    def _emit(
-        self,
-        category: Category,
-        name: str,
-        time_s: float,
-        packet: Packet | None = None,
-        severity: Severity = Severity.INFO,
-        **args,
-    ) -> None:
-        """Record a switch-level trace event when telemetry is enabled."""
-        self.trace.emit(
-            category,
-            name,
-            time_s,
-            component=self.path,
-            severity=severity,
-            packet_id=packet.packet_id if packet is not None else None,
-            **args,
-        )
-
-    # --- run loop ------------------------------------------------------------------
-
-    def run(self, timed_packets, until: float | None = None) -> SwitchRunResult:
-        """Push a time-ordered iterable of ``(time, packet)`` through.
-
-        One run per switch instance, as with :class:`RMTSwitch`.
-        """
-        if self.spans is not None:
-            timed_packets = self._sampled_stream(timed_packets)
-        if self.trace is None:
-            # Batched admission: one kernel event per distinct arrival
-            # timestamp.  Equivalent to per-packet events because the
-            # kernel breaks (time, priority) ties in schedule order — see
-            # :func:`repro.net.traffic.batch_arrivals`.
-            from ..net.traffic import batch_arrivals
-
-            for time, burst in batch_arrivals(timed_packets):
-                self._sim.at(time, self._make_burst_event(burst, time))
-        else:
-            for time, packet in timed_packets:
-                self._schedule_ingress(packet, time)
-        self._sim.run(until=until)
-        return self.finalize()
-
-    def _make_burst_event(self, burst: list[Packet], time: float):
-        def event() -> None:
-            self.arrive(burst, time)
-
-        return event
-
-    def arrive(self, packets: list[Packet], time: float) -> None:
-        """Admit same-timestamp arrivals now (see :meth:`RMTSwitch.arrive`)."""
-        self._sim.events_coalesced += len(packets) - 1
-        for packet in packets:
-            self._ingress_service(packet, time)
-
-    def _sampled_stream(self, timed_packets):
-        """Head-based span sampling at injection (docs/SPANS.md); keeps
-        batched admission intact (see :meth:`RMTSwitch._sampled_stream`)."""
-        admit = self.spans.admit
-        for time, packet in timed_packets:
-            admit(packet)
-            yield time, packet
-
-    def _span_service(self, packet, record, pipeline, queue_hop="ingress_queue"):
-        """Record one pipeline pass's span hops for a sampled packet."""
-        self.spans.service(
-            packet.meta.span,
-            packet.packet_id,
-            self.name,
-            record.ready_time,
-            record.service_start,
-            pipeline.parser_latency_cycles * pipeline.cycle_s,
-            record.exit_time,
-            queue_hop,
-        )
-
-    def inject(self, packet: Packet, time: float) -> None:
-        """Schedule one packet arrival without draining the event queue
-        (fabric entry point; see :meth:`RMTSwitch.inject`)."""
-        self._schedule_ingress(packet, time)
-
-    def finalize(self, now_s: float | None = None) -> SwitchRunResult:
-        """Seal the run result once the (possibly shared) simulator drained."""
-        now = self._sim.now if now_s is None else now_s
-        self._result.duration_s = now
-        self._result.counters = self.stats.snapshot()
-        if self.telemetry is not None:
-            self.telemetry.finish(now)
-        return self._result
-
-    def _schedule_ingress(self, packet: Packet, time: float) -> None:
-        def event() -> None:
-            self._ingress_service(packet, time)
-
-        self._sim.at(time, event)
 
     # --- stations -------------------------------------------------------------------
 

@@ -7,6 +7,9 @@ Pieces shared between the RMT model (:mod:`repro.rmt`) and the ADCP model
   rate (one packet on the wire at a time).
 - :class:`~repro.arch.decision.Decision` — what an application asks the
   switch to do with a packet (forward / drop / consume / emit).
+- :class:`~repro.arch.switch.SwitchModel` — the run loop both switch
+  models share: lazy burst admission of a ``(time, packet)`` stream,
+  fabric injection, hook elision and result sealing.
 - :class:`~repro.arch.app.SwitchApp` and
   :class:`~repro.arch.app.PipelineContext` — the programming interface an
   in-network application implements once and runs on either target.  The

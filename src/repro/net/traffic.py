@@ -13,17 +13,24 @@ from typing import Iterator
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, SimulationError
+from ..sim.event import ARRIVAL_PRIORITY
 from ..units import (
     BITS_PER_BYTE,
     ETHERNET_FCS_BYTES,
     ETHERNET_MIN_FRAME_BYTES,
     ETHERNET_OVERHEAD_BYTES,
 )
-from .headers import COFLOW_HEADER, standard_stack
+from .headers import COFLOW_HEADER, Header, standard_stack
 from .packet import Element, ElementArray, Packet
 
 _TEMPLATE_HEADERS: list | None = None
+
+#: Field maxima of the coflow header, by width: 32-bit ids and sequence
+#: numbers, 8-bit opcode/count/width, 16-bit worker and round.
+_U32 = COFLOW_HEADER.field("seq").max_value
+_U16 = COFLOW_HEADER.field("round").max_value
+_U8 = COFLOW_HEADER.field("opcode").max_value
 
 
 def make_coflow_packet(
@@ -45,11 +52,11 @@ def make_coflow_packet(
     the stack (Ethernet/IPv4/UDP with their next-protocol wiring) are
     copy-on-write copies of a shared template: Ethernet and UDP share the
     template's values, and IPv4 takes a private dict only when the
-    addresses are written.  The coflow header is packed from
-    its field values in one pass, with the same range validation
-    ``instantiate`` performs.  Every such packet with the same element
-    count and width has the same sizes, so they are computed once per
-    shape.  ``packet_id`` stamps an id from a reserved block (see
+    addresses are written.  The coflow header is built from its field
+    values after one chained range check, and an out-of-range value
+    fails with the same ConfigError ``instantiate`` raises.  Every such
+    packet with the same element count and width has the same sizes, so
+    they are computed once per shape.  ``packet_id`` stamps an id from a reserved block (see
     :func:`~repro.net.packet.reserve_packet_ids`) instead of drawing the
     next global one.
     """
@@ -57,16 +64,43 @@ def make_coflow_packet(
     if src_ip or dst_ip:
         ip["src_ip"] = src_ip
         ip["dst_ip"] = dst_ip
-    coflow = COFLOW_HEADER.pack(
-        coflow_id,
-        flow_id,
-        seq,
-        opcode,
-        len(elements),
-        element_width_bytes,
-        worker_id,
-        round_,
-    )
+    count = len(elements)
+    if (
+        0 <= coflow_id <= _U32
+        and 0 <= flow_id <= _U32
+        and 0 <= seq <= _U32
+        and 0 <= opcode <= _U8
+        and 0 <= count <= _U8
+        and 0 <= element_width_bytes <= _U8
+        and 0 <= worker_id <= _U16
+        and 0 <= round_ <= _U16
+    ):
+        coflow = Header.__new__(Header)
+        coflow.type = COFLOW_HEADER
+        coflow._values = {
+            "coflow_id": coflow_id,
+            "flow_id": flow_id,
+            "seq": seq,
+            "opcode": opcode,
+            "element_count": count,
+            "element_width_bytes": element_width_bytes,
+            "worker_id": worker_id,
+            "round": round_,
+        }
+        coflow._shared = False
+    else:
+        # Out of range: ``pack`` raises the same ConfigError as
+        # ``instantiate`` would.
+        coflow = COFLOW_HEADER.pack(
+            coflow_id,
+            flow_id,
+            seq,
+            opcode,
+            count,
+            element_width_bytes,
+            worker_id,
+            round_,
+        )
     if element_width_bytes <= 0:
         raise ConfigError(
             f"element width must be positive, got {element_width_bytes}"
@@ -75,7 +109,7 @@ def make_coflow_packet(
         list(starmap(Element, elements)), element_width_bytes
     )
     packet = Packet([eth, ip, udp, coflow], payload, packet_id=packet_id)
-    packet._sizes = _coflow_sizes(len(elements), element_width_bytes)
+    packet._sizes = _coflow_sizes(count, element_width_bytes)
     return packet
 
 
@@ -212,29 +246,51 @@ class PoissonSource(TrafficSource):
             yield time, packet
 
 
-def batch_arrivals(
-    timed_packets,
-) -> Iterator[tuple[float, list[Packet]]]:
-    """Group a time-ordered ``(time, packet)`` stream into clock edges.
+def inject_bursts(sim, timed_packets, arrive) -> None:
+    """Stream a time-ordered ``(time, packet)`` iterable into ``sim``.
 
-    Yields ``(time, [packets...])`` with one entry per distinct
-    timestamp, packets in stream order.  Used by the switch run loops to
-    admit a whole same-timestamp burst with one kernel event instead of
-    one event per packet: because every injection is scheduled at the
-    default priority and the kernel breaks (time, priority) ties by
-    schedule order, servicing the burst in stream order inside one event
-    dispatches in exactly the order the per-packet events would have.
+    The standalone switch run loop.  One kernel event at
+    :data:`~repro.sim.event.ARRIVAL_PRIORITY` admits the next
+    same-timestamp burst, as ``arrive(burst, time)`` with the packets in
+    stream order, then re-arms at the arrival after it.  The stream is
+    pulled only as far as the run has reached: a packet is taken off it
+    during the event of the burst before its own, never earlier.  A run
+    bounded by ``until`` leaves the arrivals after the bound unpulled.
+
+    The reserved priority runs each burst before every other event at
+    its timestamp, which is the order one default-priority event per
+    burst, all queued before the run, would dispatch in.  That holds
+    only if no other event is pending when the stream arms, so a
+    non-empty queue raises :class:`SimulationError` rather than
+    reordering the run (docs/KERNEL.md).
     """
-    batch_time: float | None = None
-    batch: list[Packet] = []
-    for time, packet in timed_packets:
-        if time != batch_time and batch:
-            yield batch_time, batch
-            batch = []
-        batch_time = time
-        batch.append(packet)
-    if batch:
-        yield batch_time, batch
+    if sim.queue:
+        raise SimulationError(
+            f"cannot stream arrivals into a simulator with "
+            f"{len(sim.queue)} pending events: arrivals must run first "
+            f"at their timestamp"
+        )
+    stream = iter(timed_packets)
+    head = next(stream, None)
+    if head is None:
+        return
+    at = sim.at
+
+    def fire() -> None:
+        nonlocal head
+        time, packet = head
+        burst = [packet]
+        head = None
+        for entry in stream:
+            if entry[0] != time:
+                head = entry
+                break
+            burst.append(entry[1])
+        arrive(burst, time)
+        if head is not None:
+            at(head[0], fire, ARRIVAL_PRIORITY)
+
+    at(head[0], fire, ARRIVAL_PRIORITY)
 
 
 def merge_sources(sources: list[TrafficSource]) -> Iterator[tuple[float, Packet]]:

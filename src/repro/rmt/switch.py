@@ -30,10 +30,9 @@ from dataclasses import dataclass, field
 from ..arch.app import SwitchApp
 from ..arch.decision import Decision, Verdict
 from ..arch.port import TxPort
+from ..arch.switch import SwitchModel
 from ..errors import CompileError, ConfigError, SimulationError
 from ..net.packet import Packet
-from ..net.traffic import batch_arrivals
-from ..sim.component import Component
 from ..sim.event import Simulator
 from ..sim.rng import stable_hash64
 from ..telemetry.events import Category, Severity
@@ -121,7 +120,7 @@ class SwitchRunResult:
         return max(p.meta.departure_time for p in delivered)
 
 
-class RMTSwitch(Component):
+class RMTSwitch(SwitchModel):
     """Executable model of a classic RMT switch.
 
     ``telemetry`` (a :class:`repro.telemetry.Telemetry`) is opt-in: when
@@ -245,14 +244,6 @@ class RMTSwitch(Component):
         self._central_hook = self._elide_hook("central")
         self._uses_central = app is not None and app.uses_central_state()
 
-    def _elide_hook(self, region: str):
-        app = self.app
-        if app is None:
-            return None
-        if getattr(type(app), region) is getattr(SwitchApp, region):
-            return None
-        return getattr(app, region)
-
     # --- topology helpers ---------------------------------------------------------
 
     def _egress_pipeline_of_packet(self, packet: Packet) -> int:
@@ -299,119 +290,6 @@ class RMTSwitch(Component):
                 loop.monitor_probes(label=f"{path}.recirc{index}")
             )
         return probes
-
-    def _emit(
-        self,
-        category: Category,
-        name: str,
-        time_s: float,
-        packet: Packet | None = None,
-        severity: Severity = Severity.INFO,
-        **args,
-    ) -> None:
-        """Record a switch-level trace event when telemetry is enabled."""
-        self.trace.emit(
-            category,
-            name,
-            time_s,
-            component=self.path,
-            severity=severity,
-            packet_id=packet.packet_id if packet is not None else None,
-            **args,
-        )
-
-    # --- run loop -----------------------------------------------------------------
-
-    def run(self, timed_packets, until: float | None = None) -> SwitchRunResult:
-        """Push a time-ordered iterable of ``(time, packet)`` through.
-
-        Returns the accumulated :class:`SwitchRunResult`.  ``run`` may be
-        called once per switch instance; construct a fresh switch per
-        experiment so state and stats start clean.
-        """
-        if self.spans is not None:
-            timed_packets = self._sampled_stream(timed_packets)
-        if self.trace is None:
-            # Batched admission: one kernel event per distinct arrival
-            # timestamp, servicing the whole burst in stream order.  All
-            # injections carry the default event priority and the kernel
-            # breaks (time, priority) ties in schedule order, so this
-            # dispatches identically to one event per packet.  Traced
-            # runs keep per-packet events so span streams are unchanged.
-            for time, burst in batch_arrivals(timed_packets):
-                self._sim.at(time, self._make_burst_event(burst, time))
-        else:
-            for time, packet in timed_packets:
-                self.inject(packet, time)
-        self._sim.run(until=until)
-        return self.finalize()
-
-    def inject(self, packet: Packet, time: float) -> None:
-        """Schedule one packet arrival without draining the event queue.
-
-        Fabric link handoffs enter through this (host arrivals come in
-        through :meth:`arrive`, from the fabric's arrival injector); the
-        shared simulator is drained once by the fabric runner, after
-        which each switch is :meth:`finalize`-d.
-        """
-        self._sim.at(time, self._make_ingress_event(packet, time))
-
-    def finalize(self, now_s: float | None = None) -> SwitchRunResult:
-        """Seal the run result once the (possibly shared) simulator drained."""
-        now = self._sim.now if now_s is None else now_s
-        self._result.duration_s = now
-        self._result.counters = self.stats.snapshot()
-        if self.telemetry is not None:
-            self.telemetry.finish(now)
-        return self._result
-
-    def _sampled_stream(self, timed_packets):
-        """Head-based span sampling at injection (docs/SPANS.md).
-
-        Wrapping the arrival stream keeps batched admission intact: the
-        sampling decision is per packet, but the kernel still sees one
-        event per distinct timestamp.
-        """
-        admit = self.spans.admit
-        for time, packet in timed_packets:
-            admit(packet)
-            yield time, packet
-
-    def _span_service(self, packet, record, pipeline, queue_hop="ingress_queue"):
-        """Record one pipeline pass's span hops for a sampled packet."""
-        self.spans.service(
-            packet.meta.span,
-            packet.packet_id,
-            self.name,
-            record.ready_time,
-            record.service_start,
-            pipeline.parser_latency_cycles * pipeline.cycle_s,
-            record.exit_time,
-            queue_hop,
-        )
-
-    def _make_ingress_event(self, packet: Packet, time: float):
-        def event() -> None:
-            self._ingress_service(packet, time)
-
-        return event
-
-    def _make_burst_event(self, burst: list[Packet], time: float):
-        def event() -> None:
-            self.arrive(burst, time)
-
-        return event
-
-    def arrive(self, packets: list[Packet], time: float) -> None:
-        """Admit same-timestamp arrivals now, in list order.
-
-        The caller is already the kernel event at ``time`` (a burst
-        event, or the fabric's arrival injector); k packets count as
-        k - 1 coalesced events, exactly as one burst event would.
-        """
-        self._sim.events_coalesced += len(packets) - 1
-        for packet in packets:
-            self._ingress_service(packet, time)
 
     # --- ingress ------------------------------------------------------------------
 
@@ -540,7 +418,7 @@ class RMTSwitch(Component):
             )
         # Re-enter through the loopback: same pipeline's ingress.
         packet.meta.ingress_port = self.config.ports_of_pipeline(pipeline)[0]
-        self._sim.at(re_arrival, self._make_ingress_event(packet, re_arrival))
+        self.inject(packet, re_arrival)
 
     # --- decision handling -----------------------------------------------------------
 

@@ -32,10 +32,12 @@ Action = Callable[[], Any]
 _INF = float("inf")
 
 
-#: Priority reserved for the fabric's arrival injector
-#: (:class:`repro.fabric.runner.ArrivalInjector`).  Every other event
-#: uses the default priority 0, so host arrivals at a timestamp run
-#: before any other work at that timestamp (docs/KERNEL.md).
+#: Priority reserved for lazily streamed arrivals: the fabric's arrival
+#: injector (:class:`repro.fabric.runner.ArrivalInjector`) and the
+#: standalone switch run loop (:func:`repro.net.traffic.inject_bursts`).
+#: Every other event uses the default priority 0, so arrivals at a
+#: timestamp run before any other work at that timestamp
+#: (docs/KERNEL.md).
 ARRIVAL_PRIORITY = -1
 
 #: Gen-0 collection threshold while :func:`draining_gc` is active (the

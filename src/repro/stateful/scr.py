@@ -127,6 +127,15 @@ class ScrTokenBucket:
         self._lane_cap = capacity / lanes
         self._tokens = [[self._lane_cap] * lanes for _ in range(flows)]
         self._refill_at = [[0.0] * lanes for _ in range(flows)]
+        # A flow is settled when every lane holds the cap.  Refill keeps
+        # a lane at the cap whatever its stamp, so reconcile may skip a
+        # settled flow -- but only if the even re-split of the pooled
+        # caps is the cap again, bit for bit.
+        self._settled_exact = (
+            sum([self._lane_cap] * lanes) / lanes == self._lane_cap
+        )
+        #: Flows that may hold less than the cap on some lane.
+        self._unsettled: set[int] = set()
         self._shadow_tokens = [capacity] * flows
         self._shadow_refill_at = [0.0] * flows
         self.admitted = 0
@@ -145,6 +154,7 @@ class ScrTokenBucket:
                 f"token bucket: lane {lane} out of range [0, {self.lanes})"
             )
         slot = flow % self.flows
+        self._unsettled.add(slot)
         row, stamps = self._tokens[slot], self._refill_at[slot]
         elapsed = now_s - stamps[lane]
         if elapsed > 0:
@@ -177,8 +187,12 @@ class ScrTokenBucket:
         """Pool leftover tokens per flow and re-split them evenly.
 
         Returns the total token mass moved between lanes this round.
-        Costs O(flows x lanes) and is bit-exact: each flow's lanes are
-        refilled, pooled left to right and re-split in a fixed order.
+        Costs O(unsettled flows x lanes) and is bit-exact: each flow's
+        lanes are refilled, pooled left to right and re-split in a fixed
+        order, flows in ascending order.  A settled flow (every lane at
+        the cap) is skipped when the re-split keeps it there: its lanes
+        would stay at the cap and add only ``+0.0`` to the moved mass,
+        and its stale stamps refill a capped lane to the cap all the same.
         """
         self.reconciliations += 1
         lanes = self.lanes
@@ -186,7 +200,13 @@ class ScrTokenBucket:
         refill_per_s = self.refill_per_s
         synced = [now_s] * lanes
         moved = 0.0
-        for row, stamps in zip(self._tokens, self._refill_at):
+        tokens, refill_at = self._tokens, self._refill_at
+        if self._settled_exact:
+            flows = sorted(self._unsettled)
+        else:
+            flows = range(self.flows)
+        for flow in flows:
+            row, stamps = tokens[flow], refill_at[flow]
             for lane, stamp in enumerate(stamps):
                 elapsed = now_s - stamp
                 if elapsed > 0:
@@ -197,6 +217,8 @@ class ScrTokenBucket:
             for level in row:
                 moved += abs(level - share)
             row[:] = [share] * lanes
+            if share == cap:
+                self._unsettled.discard(flow)
         # Each transfer moves mass both out of and into lanes; count the
         # one-way mass.
         moved /= 2.0

@@ -2,11 +2,12 @@
 
 Two shapes, mirroring the coflow workloads:
 
-* :func:`build_single` — single-switch streams paced by
-  :class:`~repro.net.traffic.DeterministicSource` across four source
-  ports, with replies leaving on a fixed result port.  Key/flow draws
-  are zipf-skewed (``skew`` is the zipf exponent — the campaign sweeps
-  it), so access concentration is a first-class experimental axis.
+* :func:`build_single` — single-switch streams paced back to back at
+  line rate across four source ports, with replies leaving on a fixed
+  result port.  Each packet is built when the stream is pulled, so a
+  run keeps only the packets in flight.  Key/flow draws are
+  zipf-skewed (``skew`` is the zipf exponent — the campaign sweeps it),
+  so access concentration is a first-class experimental axis.
 * :func:`plan_stateful_workload` — the fabric variant, registered
   under ``stateful-<name>`` in :func:`repro.fabric.workloads.plan_workload`:
   client hosts stream requests toward a server host, the first-hop leaf
@@ -22,18 +23,15 @@ never visible to the data plane.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from heapq import merge
+from typing import Callable, Iterator
 
 from ..errors import ConfigError
 from ..net.headers import OP_DATA, OP_GET, OP_PUT, OP_RESULT
-from ..net.packet import Packet
-from ..net.traffic import (
-    DeterministicSource,
-    coflow_wire_bytes,
-    make_coflow_packet,
-    merge_sources,
-)
+from ..net.packet import Packet, reserve_packet_ids
+from ..net.traffic import coflow_wire_bytes, make_coflow_packet
 from ..sim.rng import make_rng, stable_hash64
+from ..units import BITS_PER_BYTE
 from .apps import (
     OP_ACK,
     OP_FIN,
@@ -89,14 +87,17 @@ class SingleStream:
     generator groups multi-key packets by the app's bound placement so
     every key in a packet lands on the partition that owns its state
     (the same contract as the kv-cache app's partition-local batches).
+    It draws the workload's keys and reserves its packet ids at once,
+    and returns an iterator of ``(time, packet)`` that builds each
+    packet when it is pulled.
     """
 
     workload: str
     app: StatefulApp
     truth: dict = field(default_factory=dict)
-    _make: Callable[[float], list[tuple[float, Packet]]] = None  # type: ignore
+    _make: Callable[[float], Iterator[tuple[float, Packet]]] = None  # type: ignore
 
-    def arrivals(self, port_speed_bps: float) -> list[tuple[float, Packet]]:
+    def arrivals(self, port_speed_bps: float) -> Iterator[tuple[float, Packet]]:
         return self._make(port_speed_bps)
 
 
@@ -105,14 +106,34 @@ def _zipf_key(rng, skew: float, space: int) -> int:
 
 
 def _paced(
-    per_port: dict[int, list[Packet]], link_bps: float
-) -> list[tuple[float, Packet]]:
-    sources = [
-        DeterministicSource(port, link_bps, per_port[port])
-        for port in sorted(per_port)
-        if per_port[port]
-    ]
-    return list(merge_sources(sources))
+    count: int,
+    wire_bytes: Callable[[int], int],
+    build: Callable[[int], Packet],
+    link_bps: float,
+) -> Iterator[tuple[float, Packet]]:
+    """Stream packets ``0 .. count - 1`` round-robin over the source ports.
+
+    Each port sends its packets back to back at ``link_bps`` from time
+    zero, and the ports merge by ``(time, port)``: the pacing of one
+    :class:`~repro.net.traffic.DeterministicSource` per port under
+    :func:`~repro.net.traffic.merge_sources`, with the same float
+    accumulation.  ``wire_bytes(index)`` sizes a packet without building
+    it; ``build(index)`` builds it when the stream reaches it.
+    """
+    ports = len(_SOURCE_PORTS)
+
+    def port_clock(rank: int):
+        time = 0.0
+        for index in range(rank, count, ports):
+            yield time, rank, index
+            time += wire_bytes(index) * BITS_PER_BYTE / link_bps
+
+    for time, rank, index in merge(*map(port_clock, range(ports))):
+        packet = build(index)
+        meta = packet.meta
+        meta.ingress_port = _SOURCE_PORTS[rank]
+        meta.arrival_time = time
+        yield time, packet
 
 
 def _aggregate_pps(link_bps: float, wire_bytes: int) -> float:
@@ -150,13 +171,6 @@ def build_single(
     return builder(flows, skew, packets, seed, elements_per_packet, port_speed_bps)
 
 
-def _round_robin_ports(packets: list[Packet]) -> dict[int, list[Packet]]:
-    per_port: dict[int, list[Packet]] = {p: [] for p in _SOURCE_PORTS}
-    for index, packet in enumerate(packets):
-        per_port[_SOURCE_PORTS[index % len(_SOURCE_PORTS)]].append(packet)
-    return per_port
-
-
 def _single_tokenbucket(
     flows, skew, packets, seed, elements_per_packet, port_speed_bps
 ) -> SingleStream:
@@ -172,16 +186,18 @@ def _single_tokenbucket(
     )
     rng = make_rng(stable_hash64(f"stateful-tokenbucket/{seed}") % (2**32))
 
-    def make(link_bps: float) -> list[tuple[float, Packet]]:
-        stream = []
-        for i in range(packets):
-            flow = _zipf_key(rng, skew, flows)
-            stream.append(
-                make_coflow_packet(
-                    _STATEFUL_COFLOW, flow_id=flow, seq=i, elements=[(flow, 1)]
-                )
+    def make(link_bps: float) -> Iterator[tuple[float, Packet]]:
+        drawn = [_zipf_key(rng, skew, flows) for _ in range(packets)]
+        first = reserve_packet_ids(packets)
+
+        def build(i: int) -> Packet:
+            flow = drawn[i]
+            return make_coflow_packet(
+                _STATEFUL_COFLOW, flow_id=flow, seq=i, elements=[(flow, 1)],
+                packet_id=first + i,
             )
-        return _paced(_round_robin_ports(stream), link_bps)
+
+        return _paced(packets, lambda i: wire, build, link_bps)
 
     return SingleStream("tokenbucket", app, {"offered": packets}, make)
 
@@ -202,36 +218,30 @@ def _single_synflood(
     app = SynFloodApp(
         sources=sources, threshold=threshold, result_port=_RESULT_PORT
     )
-    stream: list[Packet] = []
+    # One (source, opcode) pair per packet, drawn a whole handshake or
+    # flood burst at a time and cut back to ``packets``.
+    senders: list[int] = []
+    opcodes: list[int] = []
     syn_sent: dict[int, int] = {}
-    seq = 0
     cycle = (OP_SYN, OP_ACK, OP_FIN)
-    while len(stream) < packets:
+    while len(senders) < packets:
         source = _zipf_key(rng, skew, sources)
         if source in attackers:
             # Flood: SYNs with no completing handshake.
-            opcodes = (OP_SYN, OP_SYN, OP_SYN)
+            burst = (OP_SYN, OP_SYN, OP_SYN)
+            syn_sent[source] = syn_sent.get(source, 0) + len(burst)
         else:
-            opcodes = cycle
-        for opcode in opcodes:
-            if opcode == OP_SYN and source in attackers:
-                syn_sent[source] = syn_sent.get(source, 0) + 1
-            stream.append(
-                make_coflow_packet(
-                    _STATEFUL_COFLOW,
-                    flow_id=source,
-                    seq=seq,
-                    elements=[(source, 0)],
-                    opcode=opcode,
-                )
-            )
-            seq += 1
-    for extra in stream[packets:]:
+            burst = cycle
+        senders.extend([source] * len(burst))
+        opcodes.extend(burst)
+    for source, opcode in zip(senders[packets:], opcodes[packets:]):
         # Keep the SYN tally consistent with the truncated stream.
-        header = extra.header("coflow")
-        if header["opcode"] == OP_SYN and header["flow_id"] in attackers:
-            syn_sent[header["flow_id"]] -= 1
-    del stream[packets:]
+        if opcode == OP_SYN and source in attackers:
+            syn_sent[source] -= 1
+    # The cut-off tail drew packet ids when packets were built here, and
+    # later ids (switch emissions) still count it.
+    first = reserve_packet_ids(len(senders))
+    del senders[packets:], opcodes[packets:]
     # Ground truth is the *detectable* attackers: those whose flood
     # actually crossed the half-open threshold inside this stream.  A
     # planted attacker the zipf draw never scheduled is indistinguishable
@@ -243,8 +253,17 @@ def _single_synflood(
         "sources": sources,
     }
 
-    def make(link_bps: float) -> list[tuple[float, Packet]]:
-        return _paced(_round_robin_ports(stream), link_bps)
+    wire = coflow_wire_bytes(1)
+
+    def build(i: int) -> Packet:
+        source = senders[i]
+        return make_coflow_packet(
+            _STATEFUL_COFLOW, flow_id=source, seq=i, elements=[(source, 0)],
+            opcode=opcodes[i], packet_id=first + i,
+        )
+
+    def make(link_bps: float) -> Iterator[tuple[float, Packet]]:
+        return _paced(packets, lambda i: wire, build, link_bps)
 
     return SingleStream("synflood", app, truth, make)
 
@@ -274,7 +293,7 @@ def _single_heavyhitter(
         "heavy": sorted(k for k, c in counts.items() if c >= _HH_THRESHOLD),
     }
 
-    def make(link_bps: float) -> list[tuple[float, Packet]]:
+    def make(link_bps: float) -> Iterator[tuple[float, Packet]]:
         # Partition-local batches: every key in a packet must live on the
         # placement partition that owns its sketch rows, so group the key
         # stream by the app's bound placement before packing.
@@ -290,16 +309,24 @@ def _single_heavyhitter(
         for partition in sorted(buckets):
             if buckets[partition]:
                 batches.append(buckets[partition])
-        stream = [
-            make_coflow_packet(
+        first = reserve_packet_ids(len(batches))
+
+        def build(i: int) -> Packet:
+            batch = batches[i]
+            return make_coflow_packet(
                 _STATEFUL_COFLOW,
                 flow_id=batch[0],
                 seq=i,
                 elements=[(key, 1) for key in batch],
+                packet_id=first + i,
             )
-            for i, batch in enumerate(batches)
-        ]
-        return _paced(_round_robin_ports(stream), link_bps)
+
+        return _paced(
+            len(batches),
+            lambda i: coflow_wire_bytes(len(batches[i])),
+            build,
+            link_bps,
+        )
 
     return SingleStream("heavyhitter", app, truth, make)
 
@@ -319,22 +346,24 @@ def _single_keycache(
     )
     rng = make_rng(stable_hash64(f"stateful-keycache/{seed}") % (2**32))
 
-    def make(link_bps: float) -> list[tuple[float, Packet]]:
-        stream: list[Packet] = []
-        for i in range(packets):
-            key = _zipf_key(rng, skew, key_space)
+    def make(link_bps: float) -> Iterator[tuple[float, Packet]]:
+        keys = [_zipf_key(rng, skew, key_space) for _ in range(packets)]
+        first = reserve_packet_ids(packets)
+
+        def build(i: int) -> Packet:
+            key = keys[i]
             # One write in eight keeps the cache warm under churn.
             put = i % 8 == 0
-            stream.append(
-                make_coflow_packet(
-                    _STATEFUL_COFLOW,
-                    flow_id=key,
-                    seq=i,
-                    elements=[(key, i + 1 if put else 0)],
-                    opcode=OP_PUT if put else OP_GET,
-                )
+            return make_coflow_packet(
+                _STATEFUL_COFLOW,
+                flow_id=key,
+                seq=i,
+                elements=[(key, i + 1 if put else 0)],
+                opcode=OP_PUT if put else OP_GET,
+                packet_id=first + i,
             )
-        return _paced(_round_robin_ports(stream), link_bps)
+
+        return _paced(packets, lambda i: wire, build, link_bps)
 
     return SingleStream("keycache", app, {"key_space": key_space}, make)
 

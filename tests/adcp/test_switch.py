@@ -7,6 +7,8 @@ area, array-wide stateful processing, and demuxed lane clocks.
 from __future__ import annotations
 
 import dataclasses
+from itertools import groupby
+from operator import itemgetter
 
 import pytest
 
@@ -15,8 +17,10 @@ from repro.adcp.switch import ADCPSwitch
 from repro.apps import ParameterServerApp
 from repro.arch.app import SwitchApp
 from repro.arch.decision import Decision
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
+from repro.net.packet import Packet
 from repro.net.traffic import DeterministicSource, make_coflow_packet
+from repro.sim.event import Simulator
 from repro.units import GBPS
 
 
@@ -166,3 +170,57 @@ class TestProgrammingModelGuards:
         packet.meta.ingress_port = 0
         result = switch.run([(0.0, packet)])
         assert result.dropped[0].meta.drop_reason == "no_route"
+
+
+class TestLazyArrivals:
+    """``run`` streams its arrivals: a list, a generator, and one event
+    per burst queued before the run (the loop ``run`` replaced) give the
+    same run.  Array packets fan results out to every worker port
+    through TM2."""
+
+    def _run(self, small_adcp_config, mode):
+        watermark = Packet([]).packet_id
+        config = small_adcp_config
+        app = ParameterServerApp([0, 1, 4, 5], 128, elements_per_packet=16)
+        switch = ADCPSwitch(config, app)
+        arrivals = app.workload(config.port_speed_bps)
+        sim = switch._sim
+        if mode == "list":
+            result = switch.run(list(arrivals))
+        elif mode == "generator":
+            result = switch.run(arrivals)
+        else:
+            for time, group in groupby(arrivals, key=itemgetter(0)):
+                burst = [packet for _, packet in group]
+                sim.at(time, lambda b=burst, t=time: switch.arrive(b, t))
+            sim.run()
+            result = switch.finalize()
+        assert app.collect_results(result.delivered) == app.expected_result()
+        return (
+            result.counters,
+            sim.events_dispatched,
+            sim.events_coalesced,
+            result.duration_s,
+            [
+                (p.packet_id - watermark, p.meta.egress_port,
+                 p.meta.departure_time)
+                for p in result.delivered
+            ],
+            len(result.dropped),
+        )
+
+    def test_list_generator_and_upfront_bursts_agree(self, small_adcp_config):
+        upfront = self._run(small_adcp_config, "upfront")
+        assert upfront[2] > 0  # bursts were coalesced
+        assert self._run(small_adcp_config, "list") == upfront
+        assert self._run(small_adcp_config, "generator") == upfront
+
+    def test_run_with_an_event_already_queued_raises(self, small_adcp_config):
+        sim = Simulator()
+        sim.at(0.0, lambda: None)
+        switch = ADCPSwitch(small_adcp_config, sim=sim)
+        packet = make_coflow_packet(1, 0, 0, [(0, 0)])
+        packet.meta.ingress_port = 0
+        packet.meta.egress_port = 7
+        with pytest.raises(SimulationError, match="pending events"):
+            switch.run([(0.0, packet)])

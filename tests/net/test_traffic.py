@@ -4,16 +4,18 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.net.headers import COFLOW_HEADER, coflow_header, standard_stack
 from repro.net.traffic import (
     DeterministicSource,
     PoissonSource,
     _template_headers,
     coflow_wire_bytes,
+    inject_bursts,
     make_coflow_packet,
     merge_sources,
 )
+from repro.sim.event import ARRIVAL_PRIORITY, Simulator
 from repro.sim.rng import make_rng
 from repro.units import BITS_PER_BYTE, GBPS
 
@@ -76,6 +78,24 @@ class TestCoflowPacketBuilder:
     def test_negative_value_rejected(self):
         with pytest.raises(ConfigError, match="coflow.seq "):
             make_coflow_packet(1, 2, -1, [(0, 0)])
+
+    @pytest.mark.parametrize("spec", COFLOW_HEADER.fields, ids=lambda f: f.name)
+    def test_out_of_range_message_matches_item_assignment(self, spec):
+        """Every out-of-range field fails with the exact message a
+        header write of that value raises."""
+        bad = [spec.max_value + 1]
+        if spec.name != "element_count":  # a list cannot be shorter than 0
+            bad.append(-1)
+        for value in bad:
+            with pytest.raises(ConfigError) as expected:
+                COFLOW_HEADER.instantiate()[spec.name] = value
+            with pytest.raises(ConfigError) as built:
+                _packet_with(spec.name, value)
+            assert str(built.value) == str(expected.value)
+
+    def test_first_out_of_range_field_is_reported(self):
+        with pytest.raises(ConfigError, match="coflow.flow_id "):
+            make_coflow_packet(1, -2, -3, [(0, 0)], opcode=256)
 
     def test_zero_element_width_rejected(self):
         with pytest.raises(ConfigError, match="element width"):
@@ -231,3 +251,91 @@ class TestMergeSources:
     def test_empty_sources_ok(self):
         a = DeterministicSource(0, GBPS, [])
         assert list(merge_sources([a])) == []
+
+
+def _timed(times):
+    """``(time, packet)`` pairs, one packet per time."""
+    return list(zip(times, _packets(len(times))))
+
+
+class TestInjectBursts:
+    """The standalone run loop: lazy, burst-per-timestamp admission."""
+
+    def _drive(self, timed, until=None):
+        sim = Simulator()
+        pulls, admitted = [], []
+
+        def stream():
+            for entry in timed:
+                pulls.append((entry[1].packet_id, sim.now))
+                yield entry
+
+        def arrive(burst, time):
+            admitted.append((time, sim.now, [p.packet_id for p in burst]))
+
+        inject_bursts(sim, stream(), arrive)
+        sim.run(until=until)
+        return sim, pulls, admitted
+
+    def test_one_event_per_timestamp_in_stream_order(self):
+        timed = _timed([0.0, 0.0, 1.0, 2.0, 2.0, 2.0])
+        ids = [p.packet_id for _, p in timed]
+        sim, _, admitted = self._drive(timed)
+        assert admitted == [
+            (0.0, 0.0, ids[0:2]),
+            (1.0, 1.0, ids[2:3]),
+            (2.0, 2.0, ids[3:6]),
+        ]
+        assert sim.events_dispatched == 3
+
+    def test_packet_pulled_no_earlier_than_the_burst_before_it(self):
+        times = [0.0, 0.0, 1.0, 2.0, 2.0, 3.0]
+        _, pulls, _ = self._drive(_timed(times))
+        bursts = sorted(set(times))
+        for (_, now), time in zip(pulls, times):
+            previous = [t for t in bursts if t < time]
+            assert (previous[-1] if previous else 0.0) <= now <= time
+        # A burst's head is pulled by the burst before it, to find where
+        # that one ends; the rest of a burst is pulled by its own event.
+        assert [now for _, now in pulls] == [0.0, 0.0, 0.0, 1.0, 2.0, 2.0]
+
+    def test_until_leaves_later_arrivals_unpulled(self):
+        times = [0.0, 1.0, 2.0, 3.0, 4.0]
+        sim, pulls, admitted = self._drive(_timed(times), until=2.0)
+        assert [a[0] for a in admitted] == [0.0, 1.0, 2.0]
+        assert len(pulls) == 4  # the head of the 3.0 burst, armed
+        assert sim.now == 2.0
+        assert [entry[:2] for entry in sim.queue] == [(3.0, ARRIVAL_PRIORITY)]
+
+    def test_arrivals_run_first_at_their_timestamp(self):
+        sim = Simulator()
+        order = []
+
+        def arrive(burst, time):
+            order.append(("arrive", time))
+            # Work the admission schedules at the next arrival's time
+            # runs after that arrival, as it did when every burst was
+            # queued before the run.
+            sim.at(time + 1.0, lambda t=time + 1.0: order.append(("work", t)))
+
+        inject_bursts(sim, iter(_timed([0.0, 1.0, 2.0])), arrive)
+        sim.run()
+        assert order == [
+            ("arrive", 0.0),
+            ("arrive", 1.0),
+            ("work", 1.0),
+            ("arrive", 2.0),
+            ("work", 2.0),
+            ("work", 3.0),
+        ]
+
+    def test_pending_event_at_arming_raises(self):
+        sim = Simulator()
+        sim.at(0.0, lambda: None)
+        with pytest.raises(SimulationError, match="1 pending events"):
+            inject_bursts(sim, _timed([0.0]), lambda burst, time: None)
+
+    def test_empty_stream_schedules_nothing(self):
+        sim = Simulator()
+        inject_bursts(sim, [], lambda burst, time: None)
+        assert sim.queue == []

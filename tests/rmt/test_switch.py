@@ -8,16 +8,20 @@ stateful processing forces scalar packets.
 from __future__ import annotations
 
 import dataclasses
+from itertools import groupby
+from operator import itemgetter
 
 import pytest
 
 from repro.apps import ParameterServerApp
 from repro.arch.decision import Decision
 from repro.arch.app import SwitchApp
-from repro.errors import CompileError
+from repro.errors import CompileError, SimulationError
+from repro.net.packet import Packet
 from repro.net.traffic import DeterministicSource, make_coflow_packet
 from repro.rmt.config import RMTConfig, StateMode
 from repro.rmt.switch import RMTSwitch
+from repro.sim.event import Simulator
 from repro.units import BITS_PER_BYTE, GBPS
 
 
@@ -181,3 +185,61 @@ class TestRecirculateMode:
         adcp_result = adcp.run(adcp_app.workload(small_adcp_config.port_speed_bps))
 
         assert rmt_result.duration_s > 2 * adcp_result.duration_s
+
+
+class TestLazyArrivals:
+    """``run`` streams its arrivals: a list, a generator, and one event
+    per burst queued before the run (the loop ``run`` replaced) give the
+    same run.  With recirculation, loop re-arrivals interleave with host
+    arrivals."""
+
+    def _run(self, small_rmt_config, mode):
+        watermark = Packet([]).packet_id
+        config = dataclasses.replace(
+            small_rmt_config, state_mode=StateMode.RECIRCULATE
+        )
+        app = ParameterServerApp([0, 1, 4, 5], 32, elements_per_packet=1)
+        switch = RMTSwitch(config, app)
+        arrivals = app.workload(config.port_speed_bps)
+        sim = switch._sim
+        if mode == "list":
+            result = switch.run(list(arrivals))
+        elif mode == "generator":
+            result = switch.run(arrivals)
+        else:
+            for time, group in groupby(arrivals, key=itemgetter(0)):
+                burst = [packet for _, packet in group]
+                sim.at(time, lambda b=burst, t=time: switch.arrive(b, t))
+            sim.run()
+            result = switch.finalize()
+        assert app.collect_results(result.delivered) == app.expected_result()
+        assert result.recirculated_packets > 0
+        return (
+            result.counters,
+            sim.events_dispatched,
+            sim.events_coalesced,
+            result.duration_s,
+            [
+                (p.packet_id - watermark, p.meta.egress_port,
+                 p.meta.departure_time)
+                for p in result.delivered
+            ],
+            len(result.dropped),
+            result.recirculated_packets,
+        )
+
+    def test_list_generator_and_upfront_bursts_agree(self, small_rmt_config):
+        upfront = self._run(small_rmt_config, "upfront")
+        assert upfront[2] > 0  # bursts were coalesced
+        assert self._run(small_rmt_config, "list") == upfront
+        assert self._run(small_rmt_config, "generator") == upfront
+
+    def test_run_with_an_event_already_queued_raises(self, small_rmt_config):
+        sim = Simulator()
+        sim.at(0.0, lambda: None)
+        switch = RMTSwitch(small_rmt_config, sim=sim)
+        packet = make_coflow_packet(1, 0, 0, [(0, 0)])
+        packet.meta.ingress_port = 0
+        packet.meta.egress_port = 7
+        with pytest.raises(SimulationError, match="pending events"):
+            switch.run([(0.0, packet)])

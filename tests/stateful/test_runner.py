@@ -190,6 +190,66 @@ class TestPacketRetention:
         assert run.sections[0].result is not None  # the run is still alive
 
 
+class TestStreamedArrivals:
+    """Standalone stateful runs build each packet when its arrival is
+    due: a packet is built as the switch pulls it, and the switch pulls
+    it no earlier than the event of the burst before it."""
+
+    @pytest.mark.parametrize("workload", STATEFUL_WORKLOADS)
+    def test_no_packet_is_built_before_the_previous_burst(
+        self, workload, monkeypatch
+    ):
+        import repro.arch.switch as switch_module
+        import repro.stateful.workloads as workloads
+
+        inject = switch_module.inject_bursts
+        make = workloads.make_coflow_packet
+        runs: list[list[tuple[float, float]]] = []  # (arrival, clock) pulls
+        counts = {"built": 0, "pulled": 0, "lead": 0}
+
+        def built(*args, **kwargs):
+            counts["built"] += 1
+            counts["lead"] = max(
+                counts["lead"], counts["built"] - counts["pulled"]
+            )
+            return make(*args, **kwargs)
+
+        def watched(sim, timed_packets, arrive):
+            pulls = []
+            runs.append(pulls)
+
+            def stream():
+                for time, packet in timed_packets:
+                    counts["pulled"] += 1
+                    pulls.append((time, sim.now))
+                    yield time, packet
+
+            inject(sim, stream(), arrive)
+
+        monkeypatch.setattr(workloads, "make_coflow_packet", built)
+        monkeypatch.setattr(switch_module, "inject_bursts", watched)
+        run_stateful(workload, **_FAST)
+        # Each packet is built by the pull that hands it to the switch.
+        assert counts["built"] == counts["pulled"] > 0
+        assert counts["lead"] == 1
+        assert len(runs) == 2  # one stream per target
+        for pulls in runs:
+            bursts = sorted({time for time, _ in pulls})
+            for time, now in pulls:
+                previous = [t for t in bursts if t < time]
+                assert (previous[-1] if previous else 0.0) <= now <= time
+            assert pulls[-1][1] >= bursts[-2]
+
+    def test_stream_is_an_iterator(self):
+        from repro.stateful.workloads import build_single
+
+        stream = build_single(
+            "tokenbucket", packets=8, port_speed_bps=100e9
+        )
+        arrivals = stream.arrivals(100e9)
+        assert iter(arrivals) is arrivals
+
+
 class TestCollectorPolicy:
     """Single-switch drains run under ``draining_gc`` and restore it."""
 

@@ -260,6 +260,34 @@ class TestInlinedRefillEquivalence:
     def test_matches_reference(self, run):
         self._check(run)
 
+    @pytest.mark.parametrize(
+        "capacity,lanes,exact",
+        [(16.0, 4, True), (7.3, 3, True), (16.0, 7, False), (7.3, 8, False)],
+    )
+    def test_reconcile_skips_settled_flows_only_when_exact(
+        self, capacity, lanes, exact
+    ):
+        """Flows 3..7 are never consumed, so they stay settled and are
+        skipped -- unless re-splitting ``lanes`` caps does not return
+        the cap bit for bit, where every flow is reconciled (and drifts,
+        as in the reference)."""
+        flows = 8
+        refill = capacity * 10
+        steps = []
+        for i in range(300):
+            now = i * 0.0123
+            if i % 5 == 4:
+                steps.append(("reconcile", now))
+            else:
+                size = 1.0 if i % 2 else 0.9 * capacity / lanes
+                steps.append(("consume", i % lanes, i * 7 % 3, size, now))
+        fast = self._check((flows, lanes, capacity, refill, steps))
+        cap = capacity / lanes
+        assert (sum([cap] * lanes) / lanes == cap) is exact
+        assert fast._settled_exact is exact
+        if exact:
+            assert fast._unsettled <= {0, 1, 2}
+
     @staticmethod
     def _check(run):
         flows, lanes, capacity, refill, steps = run
@@ -287,3 +315,4 @@ class TestInlinedRefillEquivalence:
             "tokens_moved",
         ):
             assert getattr(fast, counter) == getattr(ref, counter), counter
+        return fast
